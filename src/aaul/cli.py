@@ -25,7 +25,17 @@ from .bisim import coarsest_partition
 from .checker import Budget, DEFAULT_BUDGET, satisfies
 from .errors import AaulError
 from .kripke import KripkeModel, export_dot, load_model, save_model
-from .syntax import parse_formula, parse_update, print_formula, signature
+from .syntax import (
+    Formula,
+    UpdateBox,
+    UpdateDiamond,
+    flatten_conj,
+    is_quantifier_free,
+    parse_formula,
+    parse_update,
+    print_formula,
+    signature,
+)
 from .tiling import build_torus_model, encode_parts, find_periodic_tiling, parse_tiles
 from .updates import apply_update
 
@@ -225,51 +235,131 @@ def _sat_search(args, out) -> int:
     return 1
 
 
-def _canonical(prop_masks, arrow_masks, n: int) -> bool:
-    """Is this labelled digraph the lexicographically least among all
-    relabellings that keep state 0 (the point) fixed?"""
-    me = (prop_masks, arrow_masks)
-    for perm in itertools.permutations(range(1, n)):
+def _relabellings(n: int) -> tuple:
+    """Every relabelling of states 0..n-1 that keeps state 0 (the point)
+    fixed, except the identity, as a pair: the image of each n-bit state
+    set, and for each state i the shift that moves its row of an n*n-bit
+    arrow mask (bit i*n + j is the arrow i->j) to the row of its image."""
+    out = []
+    # permutations() yields the identity first
+    for perm in itertools.islice(itertools.permutations(range(1, n)), 1, None):
         mapping = (0, *perm)
-        moved_props = tuple(
-            sum(((mask >> i) & 1) << mapping[i] for i in range(n)) for mask in prop_masks
+        image = tuple(
+            sum(((mask >> i) & 1) << mapping[i] for i in range(n)) for mask in range(1 << n)
         )
-        moved_arrows = tuple(
-            sum(
-                ((mask >> (i * n + j)) & 1) << (mapping[i] * n + mapping[j])
-                for i in range(n)
-                for j in range(n)
-            )
-            for mask in arrow_masks
-        )
-        if (moved_props, moved_arrows) < me:
-            return False
-    return True
+        out.append((image, tuple(mapping[i] * n for i in range(n))))
+    return tuple(out)
+
+
+def _relabel_states(relabelling, mask: int) -> int:
+    return relabelling[0][mask]
+
+
+def _relabel_arrows(relabelling, mask: int) -> int:
+    image, shifts = relabelling
+    n, row = len(shifts), len(image) - 1
+    out = 0
+    for i, shift in enumerate(shifts):
+        out |= image[(mask >> (i * n)) & row] << shift
+    return out
+
+
+def _least_tuples(width: int, count: int, relabel, relabellings):
+    """Tuples of `count` masks of `width` bits, in itertools.product order,
+    that no relabelling maps to a lexicographically smaller tuple. Each comes
+    with the relabellings that map it to itself.
+
+    Tuples compare at their first differing mask. So a prefix that some
+    relabelling makes smaller rules out every tuple it starts, one that a
+    relabelling makes larger is safe from it, and only the relabellings that
+    fix the prefix are tried on the next mask.
+    """
+    if count == 0:
+        yield (), relabellings
+        return
+    for mask in range(1 << width):
+        fixing = []
+        for r in relabellings:
+            moved = relabel(r, mask)
+            if moved < mask:
+                break
+            if moved == mask:
+                fixing.append(r)
+        else:
+            for rest, stabiliser in _least_tuples(width, count - 1, relabel, fixing):
+                yield (mask, *rest), stabiliser
+
+
+def _canonical_candidates(n: int, props: int, agents: int):
+    """Each valuation tuple of n-state candidates in canonical form, with
+    an iterator over the arrow tuples that complete it to one."""
+    for prop_masks, stabiliser in _least_tuples(n, props, _relabel_states, _relabellings(n)):
+        arrow_tuples = _least_tuples(n * n, agents, _relabel_arrows, stabiliser)
+        yield prop_masks, (arrow_masks for arrow_masks, _ in arrow_tuples)
+
+
+def _conjunct_order(f) -> tuple:
+    """The top-level conjuncts of f: those with no update and no [*]/<*>
+    first, then those with an update, then those with [*]/<*>, each group
+    in the given order."""
+
+    def has_update(g) -> bool:
+        stack = [g]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, (UpdateBox, UpdateDiamond)):
+                return True
+            stack.extend(h for h in vars(g).values() if isinstance(h, Formula))
+        return False
+
+    def group(c) -> int:
+        if not is_quantifier_free(c):
+            return 2
+        return 1 if has_update(c) else 0
+
+    return tuple(sorted(flatten_conj(f), key=group))
 
 
 def _sat_search_n(f, n: int, agents, props, budget) -> KripkeModel | None:
+    """The first model with n states, in candidate order, that satisfies f
+    at s0, among those in canonical form; None if there is none.
+
+    A candidate is a tuple of n-bit valuation masks, one per proposition,
+    then n*n-bit arrow masks, one per agent, visited in itertools.product
+    order. It is in canonical form when no relabelling of the states that
+    fixes s0 turns it into a lexicographically smaller tuple. Valuations
+    come first in that order, so a valuation that some relabelling makes
+    smaller rules out all its arrow masks, and one it makes larger rules out
+    none; `_canonical_candidates` skips the first kind once and tries
+    arrow masks only against the relabellings that fix the valuation. The
+    candidates checked are therefore exactly the canonical ones, in the
+    same order as testing every relabelling on every candidate.
+
+    A candidate satisfies f exactly when it satisfies each top-level
+    conjunct, so the conjuncts are checked one at a time (cheap ones first,
+    see `_conjunct_order`) and the first false one rejects the candidate.
+    The verdict per candidate, and so the model returned, is the same as
+    checking f whole. Checking f whole evaluates every conjunct in full,
+    and a conjunct alone is evaluated the same way (the checker memoizes
+    per node, and conjuncts share no node that takes work), only at a
+    smaller recursion depth. So a conjunct exceeds a budget only where f
+    does: the search refuses only on a candidate whose checked conjuncts
+    reach one over budget, never where checking f whole decides.
+    """
     states = tuple(f"s{i}" for i in range(n))
-    prop_space = itertools.product(range(1 << n), repeat=len(props))
-    for prop_masks in prop_space:
-        arrow_space = itertools.product(range(1 << (n * n)), repeat=len(agents))
-        for arrow_masks in arrow_space:
-            if not _canonical(prop_masks, arrow_masks, n):
-                continue
+    conjuncts = _conjunct_order(f)
+    for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
+        valuation = {
+            p: {states[i] for i in range(n) if (mask >> i) & 1}
+            for p, mask in zip(props, prop_masks)
+        }
+        for arrow_masks in arrow_tuples:
             arrows = {
-                a: {
-                    (states[i], states[j])
-                    for i in range(n)
-                    for j in range(n)
-                    if (arrow_masks[ai] >> (i * n + j)) & 1
-                }
-                for ai, a in enumerate(agents)
-            }
-            valuation = {
-                p: {states[i] for i in range(n) if (prop_masks[pi] >> i) & 1}
-                for pi, p in enumerate(props)
+                a: {(states[k // n], states[k % n]) for k in range(n * n) if (mask >> k) & 1}
+                for a, mask in zip(agents, arrow_masks)
             }
             m = KripkeModel(states, agents, props, arrows, valuation, point=states[0])
-            if satisfies(m, states[0], f, budget):
+            if all(satisfies(m, states[0], c, budget) for c in conjuncts):
                 return m
     return None
 

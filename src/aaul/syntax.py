@@ -309,19 +309,25 @@ class _Parser:
         return Clause(pre, agent, post)
 
 
-def parse_formula(text: str) -> Formula:
+def _parse(text: str, rule, what: str):
     p = _Parser(text)
-    f = p.formula()
-    p.done("formula")
-    return f
+    try:
+        out = rule(p)
+    except RecursionError:
+        # caught here, at the public entry, so each node costs no more to parse
+        pos = p.tokens[min(p.i, len(p.tokens) - 1)][2]
+        raise ParseError(f"{what} nested too deeply", pos) from None
+    p.done(what)
+    return out
+
+
+def parse_formula(text: str) -> Formula:
+    return _parse(text, _Parser.formula, "formula")
 
 
 def parse_update(text: str) -> Update:
     """Parse a bare update literal, e.g. "{(p,a,true),(true,b,~q)}"."""
-    p = _Parser(text)
-    u = p.update()
-    p.done("update")
-    return u
+    return _parse(text, _Parser.update, "update")
 
 
 # ------------------------------------------------------------------ printer

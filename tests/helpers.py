@@ -2,12 +2,14 @@
 
 Everything here is deliberately independent of the production code paths it
 is used to judge: naive_bisim iterates a greatest fixpoint instead of
-refining a partition, and naive_eval/naive_apply recurse over states
-directly instead of computing truth sets.
+refining a partition, naive_eval/naive_apply recurse over states
+directly instead of computing truth sets, and naive_sat_search tries every
+relabelling on every candidate model and checks the whole formula on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from aaul import (
@@ -19,6 +21,7 @@ from aaul import (
     Bot,
     Box,
     Clause,
+    DEFAULT_BUDGET,
     Diamond,
     Formula,
     Iff,
@@ -31,6 +34,7 @@ from aaul import (
     Update,
     UpdateBox,
     UpdateDiamond,
+    satisfies,
 )
 
 AGENTS = ("a", "b")
@@ -273,3 +277,64 @@ def naive_eval(m: KripkeModel, w: str, f: Formula) -> bool:
     if isinstance(f, UpdateDiamond):
         return naive_eval(naive_apply(m, f.update), w, f.body)
     raise TypeError(f"naive_eval cannot handle {f!r}")
+
+
+def naive_canonical(prop_masks, arrow_masks, n: int) -> bool:
+    """Is this labelled digraph the lexicographically least among all
+    relabellings that keep state 0 (the point) fixed?"""
+    me = (prop_masks, arrow_masks)
+    for perm in itertools.permutations(range(1, n)):
+        mapping = (0, *perm)
+        moved_props = tuple(
+            sum(((mask >> i) & 1) << mapping[i] for i in range(n)) for mask in prop_masks
+        )
+        moved_arrows = tuple(
+            sum(
+                ((mask >> (i * n + j)) & 1) << (mapping[i] * n + mapping[j])
+                for i in range(n)
+                for j in range(n)
+            )
+            for mask in arrow_masks
+        )
+        if (moved_props, moved_arrows) < me:
+            return False
+    return True
+
+
+def _naive_sat_search_n(f, n, agents, props, budget):
+    states = tuple(f"s{i}" for i in range(n))
+    prop_space = itertools.product(range(1 << n), repeat=len(props))
+    for prop_masks in prop_space:
+        arrow_space = itertools.product(range(1 << (n * n)), repeat=len(agents))
+        for arrow_masks in arrow_space:
+            if not naive_canonical(prop_masks, arrow_masks, n):
+                continue
+            arrows = {
+                a: {
+                    (states[i], states[j])
+                    for i in range(n)
+                    for j in range(n)
+                    if (arrow_masks[ai] >> (i * n + j)) & 1
+                }
+                for ai, a in enumerate(agents)
+            }
+            valuation = {
+                p: {states[i] for i in range(n) if (prop_masks[pi] >> i) & 1}
+                for pi, p in enumerate(props)
+            }
+            m = KripkeModel(states, agents, props, arrows, valuation, point=states[0])
+            if satisfies(m, states[0], f, budget):
+                return m
+    return None
+
+
+def naive_sat_search(f: Formula, max_states: int, agents, props, budget=DEFAULT_BUDGET):
+    """Reference for `aaul sat-search` (without its --limit): the first
+    canonical candidate model, by size and then in the command's candidate
+    order, that satisfies f at s0; None if none up to max_states states.
+    Raises whatever checking f whole on a candidate raises."""
+    for n in range(1, max_states + 1):
+        found = _naive_sat_search_n(f, n, agents, props, budget)
+        if found is not None:
+            return found
+    return None

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
+import aaul
 from aaul import (
     ArbBox,
     ArbDiamond,
@@ -344,9 +345,12 @@ def test_criterion_8_encoder_fidelity(capsys, tmp_path):
 
         tiles_path = tmp_path / "tiles.txt"
         tiles_path.write_text(ALTERNATING)
+        # the child processes import the package from where this one did
+        src = os.path.dirname(os.path.dirname(aaul.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         outputs = []
         for seed in ("0", "1", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             for argv in (
                 ["encode-tiling", str(tiles_path)],
                 ["witness-model", str(tiles_path), "--period", "2", "--cell-props"],

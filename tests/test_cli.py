@@ -1,9 +1,27 @@
 import io
+import random
 
 import pytest
 
-from aaul import encode, load_model, parse_formula, parse_tiles, print_formula
-from aaul.cli import run
+from aaul import (
+    AaulError,
+    Budget,
+    conj,
+    encode,
+    load_model,
+    parse_formula,
+    parse_tiles,
+    print_formula,
+    save_model,
+)
+from aaul.cli import _canonical_candidates, run
+from helpers import (
+    naive_canonical,
+    naive_sat_search,
+    random_formula,
+    random_quantifier_free,
+    single_quantifier_formula,
+)
 
 WV = "states: w v\nagent a: w->v v->v\nval p: v\npoint: w\n"
 TILES = "tile A N=g E=b S=g W=w\ntile B N=g E=w S=g W=b\n"
@@ -58,6 +76,11 @@ def test_check_stdin_dash():
 def test_check_parse_error(model_file):
     code, _, err = invoke(["check", model_file, "p &"])
     assert code == 2 and "position" in err
+
+
+def test_check_deep_formula_is_a_parse_error(model_file):
+    code, _, err = invoke(["check", model_file, "~" * 3000 + "p"])
+    assert code == 2 and err.startswith("error:") and "nested too deeply" in err
 
 
 def test_check_budget_option(model_file):
@@ -172,6 +195,82 @@ def test_sat_search_quantified():
     # dual: some update that removes all arrows always exists
     code, out, _ = invoke(["sat-search", "<*>[a]false", "--max-states", "1"])
     assert code == 0
+
+
+def test_sat_search_checks_conjuncts_one_at_a_time():
+    # each conjunct is checked on its own, so 70 of them stay within the
+    # recursion budget that the whole conjunction exceeds
+    code, out, _ = invoke(["sat-search", " & ".join(["p"] * 70), "--max-states", "1"])
+    assert (code, out) == (0, "states: s0\nval p: s0\npoint: s0\n")
+    # a candidate that passes the plain conjuncts still reaches the [*] one
+    code, _, err = invoke([
+        "sat-search", "<a>p & <a>~p & [*]<a>true", "--max-states", "2", "--max-blocks", "1",
+    ])
+    assert code == 2 and "2 arrow blocks exceed the cap of 1" in err
+
+
+@pytest.mark.parametrize("n,props,agents", [(2, 2, 2), (3, 2, 1), (3, 0, 2), (4, 1, 1)])
+def test_sat_search_candidates_are_exactly_the_canonical_ones(n, props, agents):
+    kept = [
+        (prop_masks, arrow_masks)
+        for prop_masks, arrow_tuples in _canonical_candidates(n, props, agents)
+        for arrow_masks in arrow_tuples
+    ]
+    assert kept == sorted(kept)
+    kept = set(kept)
+    rng = random.Random(n * 100 + props * 10 + agents)
+    for _ in range(3000):
+        prop_masks = tuple(rng.randrange(1 << n) for _ in range(props))
+        arrow_masks = tuple(rng.randrange(1 << (n * n)) for _ in range(agents))
+        assert ((prop_masks, arrow_masks) in kept) == naive_canonical(prop_masks, arrow_masks, n)
+
+
+# (agents, props, max states): each search space stays small enough for the
+# reference, which tries every relabelling on every candidate
+_SHAPES = (
+    (("a",), ("p",), 3),
+    (("a",), ("p", "q"), 2),
+    (("a", "b"), ("p",), 2),
+    (("a", "b"), ("p", "q"), 1),
+)
+
+
+def _random_search_formula(rng, agents, props):
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        r = rng.random()
+        if r < 0.4:
+            parts.append(random_quantifier_free(rng, 2, props, agents))
+        elif r < 0.7:
+            parts.append(single_quantifier_formula(rng, props, agents))
+        else:
+            parts.append(random_formula(rng, 2, props, agents))
+    return conj(parts)
+
+
+def test_sat_search_matches_naive_reference():
+    rng = random.Random(20260301)
+    decided = 0
+    for _ in range(40):
+        agents, props, max_states = rng.choice(_SHAPES)
+        f = _random_search_formula(rng, agents, props)
+        max_blocks = rng.choice((None, None, 1, 2, 3))
+        budget = Budget() if max_blocks is None else Budget(max_arrow_blocks=max_blocks)
+        try:
+            found = naive_sat_search(f, max_states, agents, props, budget)
+        except AaulError:
+            continue
+        decided += 1
+        expected = (0, save_model(found)) if found is not None else (1, f"none up to {max_states} states\n")
+        argv = [
+            "sat-search", print_formula(f), "--max-states", str(max_states),
+            "--agents", ",".join(agents), "--props", ",".join(props),
+        ]
+        if max_blocks is not None:
+            argv += ["--max-blocks", str(max_blocks)]
+        code, out, _ = invoke(argv)
+        assert (code, out) == expected, argv
+    assert decided >= 20
 
 
 def test_help_exits_zero():

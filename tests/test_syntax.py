@@ -122,6 +122,20 @@ def test_parse_errors_carry_position(text, pos_hint):
     assert pos_hint in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_formula, "~" * 3000 + "p"),
+        (parse_formula, "(" * 3000 + "p" + ")" * 3000),
+        (parse_update, "{(" + "~" * 3000 + "p,a,true)}"),
+    ],
+    ids=["negations", "parentheses", "update"],
+)
+def test_deep_nesting_is_a_parse_error(parse, text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(text)
+
+
 def test_parse_update_rejects_trailing_junk():
     with pytest.raises(ParseError):
         parse_update("{(p,a,true)} extra")
