@@ -12,7 +12,6 @@ from aaul import (
     KripkeModel,
     apply_update,
     arrow_blocks,
-    bisimilar,
     coarsest_partition,
     parse_formula,
     print_formula,
@@ -42,7 +41,8 @@ def main() -> None:
     print(f"probe formula: {print_formula(probe)}")
     for state in m.states:
         print(f"  holds at {state}: {satisfies(m, state, probe)}")
-    print(f"  (s and t bisimilar: {bisimilar(m, 's', 't')})")
+    part = coarsest_partition(m)
+    print(f"  (s and t bisimilar: {part.block_of('s') == part.block_of('t')})")
     print()
 
     goal = parse_formula(f"<*><{args.agent}>[{args.agent}]false")
@@ -55,7 +55,6 @@ def main() -> None:
     print(f"  goal body now holds: {satisfies(updated, 's', goal.body)}")
     print()
 
-    part = coarsest_partition(m)
     print(f"partition blocks: {[sorted(b) for b in part.blocks]}")
     print("arrow blocks the quantifier enumerates unions of:")
     for blk in arrow_blocks(m, part):

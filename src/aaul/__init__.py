@@ -11,8 +11,6 @@ from .bisim import (
     ArrowBlock,
     Partition,
     arrow_blocks,
-    bisimilar,
-    characteristic_formula,
     characteristic_formulas,
     coarsest_partition,
 )

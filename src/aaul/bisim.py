@@ -73,11 +73,6 @@ def coarsest_partition(m: KripkeModel) -> Partition:
     return Partition(tuple(frozenset(b) for b in blocks), dict(block_of), rounds)
 
 
-def bisimilar(m: KripkeModel, s: str, t: str) -> bool:
-    part = coarsest_partition(m)
-    return part.block_of(s) == part.block_of(t)
-
-
 def arrow_blocks(m: KripkeModel, part: Partition) -> tuple[ArrowBlock, ...]:
     """Arrows grouped by (agent, source block, target block).
 
@@ -131,7 +126,3 @@ def characteristic_formulas(m: KripkeModel, part: Partition) -> tuple[Formula, .
             deeper.append(conj(parts))
         current = deeper
     return tuple(current)
-
-
-def characteristic_formula(m: KripkeModel, part: Partition, block: int) -> Formula:
-    return characteristic_formulas(m, part)[block]

@@ -43,6 +43,7 @@ from .syntax import (
     UpdateBox,
     UpdateDiamond,
     desugar,
+    flatten_conj,
     parse_update,
     print_formula,
 )
@@ -75,10 +76,11 @@ def _lex_subsets(n: int, start: int = 0):
 
 
 def _induced_submodel(m: KripkeModel, blocks: tuple[ArrowBlock, ...], chosen: tuple[int, ...]) -> KripkeModel:
+    """Built unchecked: a union of m's arrow blocks is a subset of m's arrows."""
     arrows: dict[str, set] = {a: set() for a in m.agents}
     for i in chosen:
         arrows[blocks[i].agent] |= blocks[i].arrows
-    return m.with_arrows({a: frozenset(s) for a, s in arrows.items()})
+    return m._derive({a: frozenset(s) for a, s in arrows.items()})
 
 
 def _materialize_update(
@@ -118,16 +120,20 @@ def _checked_blocks(m: KripkeModel, budget: Budget) -> tuple[Partition, tuple[Ar
 class _Evaluator:
     """Truth-set evaluation of core formulas, memoized per (model, subformula).
 
-    Formulas are memo-keyed by identity, not structure: structural hashing
-    of characteristic formulas would cost more than it saves. The evaluator
-    pins every memoized formula so ids cannot be recycled underneath it.
-    One evaluator serves one public call; nothing leaks across calls.
+    One evaluator serves one public call. The memo maps a model's per-agent
+    arrow tuple, then id(node), to a truth set (nested, so the cyclic GC
+    scans one dict per model, not one key per entry). Sound because every
+    model one evaluator sees is the root or a union or update derived from
+    it, sharing the root's states, agents, props, valuation and point; and
+    every node belongs to the desugared tree, which the caller holds until
+    the call returns, so no id is recycled while the memo lives. Equal
+    truth sets are interned: the memo holds one frozenset per distinct set.
     """
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.memo: dict = {}
-        self.pinned: list = []
+        self.interned: dict = {}
 
     def truth_set(self, m: KripkeModel, f: Formula, depth: int) -> frozenset[str]:
         if depth > self.budget.max_recursion_depth:
@@ -135,13 +141,12 @@ class _Evaluator:
                 f"recursion deeper than {self.budget.max_recursion_depth}",
                 kind="recursion",
             )
-        key = (m.fingerprint, id(f))
-        hit = self.memo.get(key)
+        memo = self.memo.setdefault(m._fingerprint[3], {})  # keyed by the per-agent arrow tuple
+        hit = memo.get(id(f))
         if hit is not None:
             return hit
         out = self._compute(m, f, depth)
-        self.memo[key] = out
-        self.pinned.append(f)
+        out = memo[id(f)] = self.interned.setdefault(out, out)
         return out
 
     def _compute(self, m: KripkeModel, f: Formula, depth: int) -> frozenset[str]:
@@ -153,7 +158,8 @@ class _Evaluator:
         if isinstance(f, Not):
             return frozenset(m.states) - self.truth_set(m, f.body, depth + 1)
         if isinstance(f, And):
-            return self.truth_set(m, f.left, depth + 1) & self.truth_set(m, f.right, depth + 1)
+            # a right-nested chain is one n-ary node: each conjunct at depth + 1
+            return frozenset.intersection(*[self.truth_set(m, g, depth + 1) for g in flatten_conj(f)])
         if isinstance(f, Box):
             body = self.truth_set(m, f.body, depth + 1)
             failing = {s for s, t in m.arrow_set(f.agent) if t not in body}
@@ -180,7 +186,11 @@ class _Evaluator:
 
 def truth_set(m: KripkeModel, f: Formula, budget: Budget = DEFAULT_BUDGET) -> frozenset[str]:
     """The states of m where f holds."""
-    return _Evaluator(budget).truth_set(m, desugar(f), 0)
+    try:
+        return _Evaluator(budget).truth_set(m, desugar(f), 0)
+    except RecursionError:
+        # caught at the public entry, so evaluation pays nothing per node
+        raise BudgetExceededError("formula nested too deeply", kind="recursion") from None
 
 
 def satisfies(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -198,11 +208,13 @@ def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFA
     m.state_index(state)
     part, blocks = _checked_blocks(m, budget)
     ev = _Evaluator(budget)
-    body = desugar(f.body)
-    for chosen in _lex_subsets(len(blocks)):
-        sub = _induced_submodel(m, blocks, chosen)
-        if state in ev.truth_set(sub, body, 0):
-            return _materialize_update(m, part, blocks, chosen)
+    try:
+        body = desugar(f.body)
+        for chosen in _lex_subsets(len(blocks)):
+            if state in ev.truth_set(_induced_submodel(m, blocks, chosen), body, 0):
+                return _materialize_update(m, part, blocks, chosen)
+    except RecursionError:
+        raise BudgetExceededError("formula nested too deeply", kind="recursion") from None
     return None
 
 

@@ -347,18 +347,21 @@ def _sat_search_n(f, n: int, agents, props, budget) -> KripkeModel | None:
     reach one over budget, never where checking f whole decides.
     """
     states = tuple(f"s{i}" for i in range(n))
+    # validated once per size, so a bad --agents or --props name is reported
+    # here; the candidates, over the same names, are derived from it unchecked
+    base = KripkeModel(states, agents, props, {}, {}, point=states[0])
     conjuncts = _conjunct_order(f)
     for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
         valuation = {
-            p: {states[i] for i in range(n) if (mask >> i) & 1}
+            p: frozenset(states[i] for i in range(n) if (mask >> i) & 1)
             for p, mask in zip(props, prop_masks)
         }
         for arrow_masks in arrow_tuples:
             arrows = {
-                a: {(states[k // n], states[k % n]) for k in range(n * n) if (mask >> k) & 1}
+                a: frozenset((states[k // n], states[k % n]) for k in range(n * n) if (mask >> k) & 1)
                 for a, mask in zip(agents, arrow_masks)
             }
-            m = KripkeModel(states, agents, props, arrows, valuation, point=states[0])
+            m = base._derive(arrows, valuation)
             if all(satisfies(m, states[0], c, budget) for c in conjuncts):
                 return m
     return None

@@ -19,7 +19,7 @@ Every declared agent and proposition gets a line on save, even when empty.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ModelFormatError, UnknownAgentError, UnknownStateError
@@ -48,7 +48,6 @@ class KripkeModel:
     arrows: Mapping[str, frozenset[tuple[str, str]]]
     valuation: Mapping[str, frozenset[str]]
     point: str | None = None
-    _fingerprint: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         states = _check_names("state", self.states)
@@ -83,25 +82,25 @@ class KripkeModel:
         if self.point is not None and self.point not in state_set:
             raise ValueError(f"point {self.point!r} is not a declared state")
 
-        index = {s: i for i, s in enumerate(states)}
-        fingerprint = (
-            states,
-            agents,
-            props,
-            tuple(
-                tuple(sorted(arrows[a], key=lambda st: (index[st[0]], index[st[1]])))
-                for a in agents
-            ),
-            tuple(tuple(sorted(valuation[p], key=index.get)) for p in props),
-            self.point,
+        self._seal(states, agents, props, arrows, valuation, self.point, {s: i for i, s in enumerate(states)})
+
+    def _seal(self, states, agents, props, arrows, valuation, point, index):
+        # Equal frozensets hash alike in any build order, so equal models get
+        # equal fingerprints without a sort. Frozen: set through the dict.
+        arrow_key, val_key = tuple(map(arrows.__getitem__, agents)), tuple(map(valuation.__getitem__, props))
+        self.__dict__.update(
+            states=states, agents=agents, props=props, arrows=arrows, valuation=valuation, point=point,
+            _fingerprint=(states, agents, props, arrow_key, val_key, point), _index=index,
         )
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "props", props)
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "_fingerprint", fingerprint)
-        object.__setattr__(self, "_index", index)
+
+    def _derive(self, arrows: dict, valuation: dict | None = None) -> "KripkeModel":
+        """This model with new arrows (and valuation), built unchecked. The
+        caller guarantees what the constructor checks: each agent, and each
+        proposition, maps to a frozenset over this model's states."""
+        m = object.__new__(KripkeModel)
+        valuation = self.valuation if valuation is None else valuation
+        m._seal(self.states, self.agents, self.props, arrows, valuation, self.point, self._index)
+        return m
 
     def __hash__(self):
         return hash(self._fingerprint)

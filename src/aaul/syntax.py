@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import AaulError, ParseError
 
 
 class Formula:
@@ -340,7 +340,10 @@ def print_formula(f: Formula) -> str:
 
     parse_formula(print_formula(f)) == f for every formula.
     """
-    return _print(f, 0)
+    try:
+        return _print(f, 0)
+    except RecursionError:
+        raise AaulError("formula nested too deeply to print") from None
 
 
 def _print(f: Formula, ctx: int) -> str:

@@ -28,14 +28,11 @@ def arrow_matches(m: KripkeModel, arrow: tuple[str, str], clause: Clause, eval_f
 
 
 def apply_update(m: KripkeModel, update: Update, eval_fn: Evaluator) -> KripkeModel:
-    """The updated model. Clauses for agents the model does not declare admit nothing."""
+    """The updated model, built unchecked, as its arrows are a subset of m's.
+    Clauses for agents the model does not declare admit nothing."""
     new_arrows = {}
     for agent in m.agents:
         clauses = [c for c in update.clauses if c.agent == agent]
-        kept = set()
         pairs = sorted(m.arrows[agent], key=lambda st: (m.state_index(st[0]), m.state_index(st[1])))
-        for arrow in pairs:
-            if any(arrow_matches(m, arrow, c, eval_fn) for c in clauses):
-                kept.add(arrow)
-        new_arrows[agent] = frozenset(kept)
-    return m.with_arrows(new_arrows)
+        new_arrows[agent] = frozenset(st for st in pairs if any(arrow_matches(m, st, c, eval_fn) for c in clauses))
+    return m._derive(new_arrows)

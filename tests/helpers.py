@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the production code paths it
 is used to judge: naive_bisim iterates a greatest fixpoint instead of
 refining a partition, naive_eval/naive_apply recurse over states
-directly instead of computing truth sets, and naive_sat_search tries every
+directly instead of computing truth sets, naive_arb_models lists the
+range of [*] from naive_bisim, and naive_sat_search tries every
 relabelling on every candidate model and checks the whole formula on it.
 """
 
@@ -277,6 +278,24 @@ def naive_eval(m: KripkeModel, w: str, f: Formula) -> bool:
     if isinstance(f, UpdateDiamond):
         return naive_eval(naive_apply(m, f.update), w, f.body)
     raise TypeError(f"naive_eval cannot handle {f!r}")
+
+
+def naive_arb_models(m: KripkeModel):
+    """Every model [*] ranges over at m, as validated models: m keeping the
+    arrows of some set of groups, an arrow's group being its agent and the
+    naive_bisim classes of its source and target."""
+    rel = naive_bisim(m)
+    cls = {s: frozenset(t for t in m.states if (s, t) in rel) for s in m.states}
+    groups: dict = {}
+    for a in m.agents:
+        for s, t in m.arrows[a]:
+            groups.setdefault((a, cls[s], cls[t]), set()).add((s, t))
+    for keep in itertools.product((False, True), repeat=len(groups)):
+        arrows = {a: set() for a in m.agents}
+        for (a, _, _), pairs, k in zip(groups, groups.values(), keep):
+            if k:
+                arrows[a] |= pairs
+        yield KripkeModel(m.states, m.agents, m.props, arrows, m.valuation, m.point)
 
 
 def naive_canonical(prop_masks, arrow_masks, n: int) -> bool:

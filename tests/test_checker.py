@@ -19,7 +19,9 @@ from aaul import (
     UnknownStateError,
     UpdateBox,
     apply_update,
+    arrow_blocks,
     brute_force_arb_oracle,
+    coarsest_partition,
     is_quantifier_free,
     load_model,
     parse_formula,
@@ -27,7 +29,10 @@ from aaul import (
     truth_set,
     witness_update,
 )
+from aaul.checker import _induced_submodel, _lex_subsets
 from helpers import (
+    naive_apply,
+    naive_arb_models,
     naive_eval,
     random_model,
     random_quantifier_free,
@@ -226,3 +231,80 @@ def test_quantifiers_allowed_inside_user_update_clauses():
     f = parse_formula("[{([*]p | ~[*]p,a,true)}]<a>true")
     assert satisfies(m, "w", f)
     assert brute_force_arb_oracle(m, "w", f)
+
+
+def _nested_nots(n):
+    f = Atom("p")
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, f, b: truth_set(m, f, b),
+        lambda m, f, b: satisfies(m, "w", f, b),
+        lambda m, f, b: witness_update(m, "w", ArbDiamond(f), b),
+    ],
+    ids=["truth_set", "satisfies", "witness_update"],
+)
+@pytest.mark.parametrize("nots", [3000, 600], ids=["desugar", "evaluator"])
+def test_formula_too_deep_for_the_stack_is_a_budget_refusal(call, nots):
+    # built through the API, so no parser stands in front, and under a
+    # recursion budget past the interpreter's stack: 3000 levels overflow it
+    # in desugar, 600 only in the evaluator
+    m = load_model("states: w\nagent a: w->w\n")
+    with pytest.raises(BudgetExceededError) as exc:
+        call(m, _nested_nots(nots), Budget(max_recursion_depth=10**6))
+    assert exc.value.kind == "recursion"
+
+
+def test_long_conjunction_is_one_level_deep():
+    m = load_model("states: w v\nagent a: w->v\nval p: w v\nval q: w\n")
+    assert truth_set(m, parse_formula(" & ".join(["p"] * 70))) == frozenset({"w", "v"})
+    # each conjunct sits one level below the chain; nesting still counts
+    tight = Budget(max_recursion_depth=4)
+    assert satisfies(m, "w", parse_formula("p & q & <a>p & p & q"), tight)
+    with pytest.raises(BudgetExceededError):
+        satisfies(m, "w", parse_formula("p & <a><a>p"), tight)
+
+
+def test_unchecked_models_equal_validated_ones():
+    def ev(mm, ww, ff):
+        return naive_eval(mm, ww, ff)
+
+    rng = random.Random(71)
+    for _ in range(60):
+        m = random_model(rng, max_states=4)
+        blocks = arrow_blocks(m, coarsest_partition(m))
+        if len(blocks) > 8:
+            continue
+        built = [_induced_submodel(m, blocks, chosen) for chosen in _lex_subsets(len(blocks))]
+        built += [apply_update(sub, random_update(rng), ev) for sub in built[-3:]]
+        for sub in built:
+            checked = m.with_arrows(sub.arrows)
+            assert sub == checked
+            assert sub.fingerprint == checked.fingerprint and hash(sub) == hash(checked)
+
+
+def test_arrows_only_memo_key_matches_naive_semantics():
+    # [*][U]g: distinct unions often become equal models once U is applied,
+    # and the memo then answers g on the second one from the first
+    rng = random.Random(73)
+    checked = merged = 0
+    while checked < 150:
+        m = random_model(rng, max_states=3)
+        u = random_update(rng, 1)
+        g = random_quantifier_free(rng, 2)
+        ranged = list(naive_arb_models(m))
+        if len(ranged) > 256:
+            continue
+        merged += len({naive_apply(sub, u) for sub in ranged}) < len(ranged)
+        for f, box in ((ArbBox(UpdateBox(u, g)), True), (ArbDiamond(UpdateBox(u, g)), False)):
+            got = truth_set(m, f)
+            for s in m.states:
+                results = [naive_eval(sub, s, UpdateBox(u, g)) for sub in ranged]
+                assert (s in got) == (all(results) if box else any(results))
+        checked += 1
+    assert merged >= 100

@@ -83,6 +83,12 @@ def test_check_deep_formula_is_a_parse_error(model_file):
     assert code == 2 and err.startswith("error:") and "nested too deeply" in err
 
 
+def test_check_long_conjunction(model_file):
+    # a flat conjunction is one level of the recursion budget, however long
+    code, out, _ = invoke(["check", model_file, " & ".join(["<a>p"] * 70)])
+    assert (code, out) == (0, "true\n")
+
+
 def test_check_budget_option(model_file):
     code, _, err = invoke(["check", model_file, "[*]p", "--max-blocks", "1"])
     assert code == 2 and "arrow blocks" in err
@@ -188,6 +194,11 @@ def test_sat_search_respects_limit():
     assert code == 2 and "limit" in err
 
 
+def test_sat_search_bad_agent_name():
+    code, _, err = invoke(["sat-search", "<a>p", "--max-states", "2", "--agents", "a b"])
+    assert code == 2 and err == "error: bad agent name 'a b': use [A-Za-z0-9_]+\n"
+
+
 def test_sat_search_quantified():
     # needs a state with an a-arrow that survives every update: impossible
     code, out, _ = invoke(["sat-search", "[*]<a>true", "--max-states", "2"])
@@ -198,8 +209,8 @@ def test_sat_search_quantified():
 
 
 def test_sat_search_checks_conjuncts_one_at_a_time():
-    # each conjunct is checked on its own, so 70 of them stay within the
-    # recursion budget that the whole conjunction exceeds
+    # each conjunct is checked on its own, and the first false one rejects
+    # the candidate
     code, out, _ = invoke(["sat-search", " & ".join(["p"] * 70), "--max-states", "1"])
     assert (code, out) == (0, "states: s0\nval p: s0\npoint: s0\n")
     # a candidate that passes the plain conjuncts still reaches the [*] one

@@ -171,3 +171,30 @@ def test_fingerprint_tracks_equality():
         if m.arrows["a"]:
             poked = m.with_arrows({**m.arrows, "a": frozenset(list(m.arrows["a"])[1:])})
             assert poked != m and poked.fingerprint != m.fingerprint
+
+
+def test_with_arrows_and_constructor_still_validate():
+    m = wv_model()
+    with pytest.raises(ValueError, match="leaves declared states"):
+        m.with_arrows({"a": {("w", "x")}})
+    with pytest.raises(ValueError, match="undeclared agent"):
+        m.with_arrows({"b": set()})
+    for names in [(("s", "s"), (), ()), (("s",), ("a", "a"), ()), (("s",), (), ("p", "p"))]:
+        with pytest.raises(ValueError, match="duplicate"):
+            KripkeModel(*names, {}, {}, None)
+    for names in [(("s t",), (), ()), (("s",), ("a-b",), ()), (("s",), (), ("",))]:
+        with pytest.raises(ValueError, match="bad"):
+            KripkeModel(*names, {}, {}, None)
+
+
+def test_derived_model_equals_validated_one():
+    rng = random.Random(5)
+    for _ in range(100):
+        m = random_model(rng, max_states=4)
+        other = random_model(rng, max_states=4)
+        if other.states != m.states:
+            continue
+        derived = m._derive(other.arrows, other.valuation)
+        checked = KripkeModel(m.states, m.agents, m.props, other.arrows, other.valuation, m.point)
+        assert derived == checked
+        assert derived.fingerprint == checked.fingerprint and hash(derived) == hash(checked)

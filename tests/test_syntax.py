@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aaul import (
+    AaulError,
     And,
     ArbBox,
     ArbDiamond,
@@ -251,3 +252,12 @@ def test_is_quantifier_free():
     assert is_quantifier_free(parse_formula("[a]p & [{(q,b,true)}]r"))
     assert not is_quantifier_free(parse_formula("[*]p"))
     assert not is_quantifier_free(parse_formula("[{(<*>true,a,p)}]q"))
+
+
+def test_print_formula_too_deep_is_a_package_error():
+    # built through the API, so no parser stands in front
+    f = Atom("p")
+    for _ in range(3000):
+        f = Not(f)
+    with pytest.raises(AaulError, match="nested too deeply"):
+        print_formula(f)
