@@ -10,10 +10,18 @@ blocks, in lexicographic order over the sorted index tuples. k is capped by
 Budget.max_arrow_blocks; hitting a cap raises BudgetExceededError rather
 than guessing.
 
+The enumeration (`_unions`) walks that order depth first and adds or
+removes one block per step, so each union costs one frozenset union over
+its parent's arrows rather than a rebuild from all its chosen blocks. The
+order itself is kept because it is observable: it decides where [*] stops
+early, which nested refusal is reached first, and which update
+`witness_update` returns.
+
 `brute_force_arb_oracle` answers the same question along a deliberately
 different path for differential testing: per-state recursion with no
-memoization and no early exits, materializing each union as concrete clause
-text that is parsed back and applied as an ordinary update.
+memoization and no early exits, its own recursive enumeration, and each
+union materialized as concrete clause text that is parsed back and applied
+as an ordinary update.
 """
 
 from __future__ import annotations
@@ -65,22 +73,37 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def _lex_subsets(n: int, start: int = 0):
-    """All subsets of range(n) as sorted tuples, in lexicographic order:
+def _unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...]):
+    """Every union of the blocks as (chosen indices, induced submodel), in
+    lexicographic order over the sorted index tuples:
     (), (0,), (0,1), (0,1,2), ..., (0,2), ..., (1,), (1,2), ...
+
+    A depth-first walk with an explicit stack: each step adds or removes
+    one block, so each union is its parent's arrows plus one block's, and
+    the agent's previous arrow set is kept on the stack for the removal.
+    Submodels are built unchecked: a union of m's arrow blocks is a subset
+    of m's arrows.
     """
-    yield ()
-    for i in range(start, n):
-        for rest in _lex_subsets(n, i + 1):
-            yield (i,) + rest
-
-
-def _induced_submodel(m: KripkeModel, blocks: tuple[ArrowBlock, ...], chosen: tuple[int, ...]) -> KripkeModel:
-    """Built unchecked: a union of m's arrow blocks is a subset of m's arrows."""
-    arrows: dict[str, set] = {a: set() for a in m.agents}
-    for i in chosen:
-        arrows[blocks[i].agent] |= blocks[i].arrows
-    return m._derive({a: frozenset(s) for a, s in arrows.items()})
+    arrows = {a: frozenset() for a in m.agents}
+    chosen: list[int] = []
+    saved: list[frozenset] = []  # the touched agent's arrows before each chosen block
+    yield (), m._derive(dict(arrows))
+    i = 0
+    while True:
+        if i < len(blocks):
+            agent = blocks[i].agent
+            saved.append(arrows[agent])
+            arrows[agent] = arrows[agent] | blocks[i].arrows
+            chosen.append(i)
+            yield tuple(chosen), m._derive(dict(arrows))
+            i += 1
+        elif chosen:
+            # no larger index left to add: drop the last block, try the next one in its place
+            i = chosen.pop()
+            arrows[blocks[i].agent] = saved.pop()
+            i += 1
+        else:
+            return
 
 
 def _materialize_update(
@@ -175,8 +198,7 @@ class _Evaluator:
                 return frozenset(m.states)
             part, blocks = _checked_blocks(m, self.budget)
             out = set(m.states)
-            for chosen in _lex_subsets(len(blocks)):
-                sub = _induced_submodel(m, blocks, chosen)
+            for _, sub in _unions(m, blocks):
                 out &= self.truth_set(sub, f.body, depth + 1)
                 if not out:
                     break
@@ -210,12 +232,22 @@ def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFA
     ev = _Evaluator(budget)
     try:
         body = desugar(f.body)
-        for chosen in _lex_subsets(len(blocks)):
-            if state in ev.truth_set(_induced_submodel(m, blocks, chosen), body, 0):
+        for chosen, sub in _unions(m, blocks):
+            if state in ev.truth_set(sub, body, 0):
                 return _materialize_update(m, part, blocks, chosen)
     except RecursionError:
         raise BudgetExceededError("formula nested too deeply", kind="recursion") from None
     return None
+
+
+def _lex_subsets(n: int, start: int = 0):
+    """All subsets of range(n) as sorted tuples, in lexicographic order:
+    (), (0,), (0,1), (0,1,2), ..., (0,2), ..., (1,), (1,2), ...
+    """
+    yield ()
+    for i in range(start, n):
+        for rest in _lex_subsets(n, i + 1):
+            yield (i,) + rest
 
 
 class _Oracle:
@@ -224,7 +256,10 @@ class _Oracle:
     Used as the slow reference in differential tests. Boolean connectives
     evaluate both sides, modalities visit every successor, and quantified
     modalities materialize every union through clause text, reparse it and
-    apply it as a plain update. No memoization anywhere.
+    apply it as a plain update. No memoization anywhere. It enumerates the
+    unions with its own recursive `_lex_subsets` and never calls the
+    checker's incremental `_unions`, so a fault in that walk cannot hide
+    in both.
     """
 
     def __init__(self, budget: Budget):

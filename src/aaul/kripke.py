@@ -84,10 +84,12 @@ class KripkeModel:
 
         self._seal(states, agents, props, arrows, valuation, self.point, {s: i for i, s in enumerate(states)})
 
-    def _seal(self, states, agents, props, arrows, valuation, point, index):
+    def _seal(self, states, agents, props, arrows, valuation, point, index, val_key=None):
         # Equal frozensets hash alike in any build order, so equal models get
         # equal fingerprints without a sort. Frozen: set through the dict.
-        arrow_key, val_key = tuple(map(arrows.__getitem__, agents)), tuple(map(valuation.__getitem__, props))
+        arrow_key = tuple(map(arrows.__getitem__, agents))
+        if val_key is None:
+            val_key = tuple(map(valuation.__getitem__, props))
         self.__dict__.update(
             states=states, agents=agents, props=props, arrows=arrows, valuation=valuation, point=point,
             _fingerprint=(states, agents, props, arrow_key, val_key, point), _index=index,
@@ -98,8 +100,11 @@ class KripkeModel:
         caller guarantees what the constructor checks: each agent, and each
         proposition, maps to a frozenset over this model's states."""
         m = object.__new__(KripkeModel)
-        valuation = self.valuation if valuation is None else valuation
-        m._seal(self.states, self.agents, self.props, arrows, valuation, self.point, self._index)
+        if valuation is None:
+            valuation, val_key = self.valuation, self._fingerprint[4]
+        else:
+            val_key = None
+        m._seal(self.states, self.agents, self.props, arrows, valuation, self.point, self._index, val_key)
         return m
 
     def __hash__(self):

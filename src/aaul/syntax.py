@@ -399,7 +399,8 @@ def desugar(f: Formula) -> Formula:
     """Rewrite to the core connectives: Atom, Top, Not, And, Box, UpdateBox, ArbBox.
 
     <a>f becomes ~[a]~f, <U>f becomes ~[U]~f, <*>f becomes ~[*]~f, and the
-    remaining boolean connectives unfold into ~ and &. Update clauses are
+    remaining boolean connectives unfold into ~ and &; a right-nested chain
+    of | becomes one ~ over a right-nested chain of &. Update clauses are
     desugared as well. The evaluator only ever sees core nodes.
     """
     if isinstance(f, (Atom, Top)):
@@ -411,7 +412,15 @@ def desugar(f: Formula) -> Formula:
     if isinstance(f, And):
         return And(desugar(f.left), desugar(f.right))
     if isinstance(f, Or):
-        return Not(And(Not(desugar(f.left)), Not(desugar(f.right))))
+        # a right-nested chain becomes one negated conjunction, a | b | c ->
+        # ~(~a & ~b & ~c), so the evaluator's n-ary And takes all operands
+        # at one level rather than three levels per operand
+        parts = []
+        while isinstance(f, Or):
+            parts.append(f.left)
+            f = f.right
+        parts.append(f)
+        return Not(conj([Not(desugar(g)) for g in parts]))
     if isinstance(f, Implies):
         return Not(And(desugar(f.left), Not(desugar(f.right))))
     if isinstance(f, Iff):

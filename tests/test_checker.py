@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,11 +26,12 @@ from aaul import (
     is_quantifier_free,
     load_model,
     parse_formula,
+    print_update,
     satisfies,
     truth_set,
     witness_update,
 )
-from aaul.checker import _induced_submodel, _lex_subsets
+from aaul.checker import _unions
 from helpers import (
     naive_apply,
     naive_arb_models,
@@ -270,6 +272,39 @@ def test_long_conjunction_is_one_level_deep():
         satisfies(m, "w", parse_formula("p & <a><a>p"), tight)
 
 
+def _validated_union(m, blocks, chosen):
+    arrows = {a: set() for a in m.agents}
+    for i in chosen:
+        arrows[blocks[i].agent] |= blocks[i].arrows
+    return m.with_arrows(arrows)
+
+
+def _assert_equal_models(sub, checked):
+    assert sub == checked
+    assert sub.fingerprint == checked.fingerprint and hash(sub) == hash(checked)
+
+
+def test_unions_walk_lexicographic_order():
+    # three states told apart by their propositions, so each arrow is a block
+    # of its own, spread over two agents
+    states = ("s0", "s1", "s2")
+    every_arrow = [(a, (s, t)) for a in ("a", "b") for s in states for t in states]
+    rng = random.Random(83)
+    for size in range(9):
+        for _ in range(3):
+            arrows = {"a": set(), "b": set()}
+            for a, pair in rng.sample(every_arrow, size):
+                arrows[a].add(pair)
+            m = KripkeModel(states, ("a", "b"), ("p0", "p1", "p2"), arrows, {f"p{i}": {s} for i, s in enumerate(states)})
+            blocks = arrow_blocks(m, coarsest_partition(m))
+            assert len(blocks) == size
+            walked = list(_unions(m, blocks))
+            expected = sorted(c for k in range(size + 1) for c in itertools.combinations(range(size), k))
+            assert [chosen for chosen, _ in walked] == expected
+            for chosen, sub in walked:
+                _assert_equal_models(sub, _validated_union(m, blocks, chosen))
+
+
 def test_unchecked_models_equal_validated_ones():
     def ev(mm, ww, ff):
         return naive_eval(mm, ww, ff)
@@ -280,12 +315,47 @@ def test_unchecked_models_equal_validated_ones():
         blocks = arrow_blocks(m, coarsest_partition(m))
         if len(blocks) > 8:
             continue
-        built = [_induced_submodel(m, blocks, chosen) for chosen in _lex_subsets(len(blocks))]
-        built += [apply_update(sub, random_update(rng), ev) for sub in built[-3:]]
-        for sub in built:
-            checked = m.with_arrows(sub.arrows)
-            assert sub == checked
-            assert sub.fingerprint == checked.fingerprint and hash(sub) == hash(checked)
+        walked = list(_unions(m, blocks))
+        for chosen, sub in walked:
+            _assert_equal_models(sub, _validated_union(m, blocks, chosen))
+        for _, sub in walked[-3:]:
+            updated = apply_update(sub, random_update(rng), ev)
+            _assert_equal_models(updated, m.with_arrows(updated.arrows))
+
+
+# Pinned from the recursive enumeration the incremental walk replaced: the
+# witness is the first satisfying union in lexicographic order, so a walk in
+# another order would return another update.
+WITNESS_MODEL = (
+    "states: s t u v\nagent a: s->t s->u t->v u->u v->s\nagent b: s->s t->u u->v v->t\n"
+    "val p: t v\nval q: u v\npoint: s\n"
+)
+PINNED_WITNESSES = [
+    ("<*>(<a>p & <b>q)", "s", None),
+    (
+        "<*>(<a>p & <b>q)",
+        "t",
+        "{(~p & ~q,a,p & ~q),(~p & ~q,a,~p & q),(p & ~q,a,p & q),(~p & q,a,~p & q),"
+        "(p & q,a,~p & ~q),(~p & ~q,b,~p & ~q),(p & ~q,b,~p & q)}",
+    ),
+    ("<*><a><a>(p & [b]false)", "s", "{(~p & ~q,a,p & ~q),(~p & ~q,a,~p & q),(p & ~q,a,p & q)}"),
+    (
+        "<*>([a]~q & <a><b>q & ~<b>~q)",
+        "s",
+        "{(~p & ~q,a,p & ~q),(p & ~q,a,p & q),(~p & q,a,~p & q),(p & q,a,~p & ~q),(p & ~q,b,~p & q)}",
+    ),
+    ("<*>(<a>p & <a>q & [b]false)", "s", "{(~p & ~q,a,p & ~q),(~p & ~q,a,~p & q)}"),
+    ("<*>(<a>p & <a>q & [b]false)", "t", "{(~p & ~q,a,p & ~q),(~p & ~q,a,~p & q),(p & ~q,a,p & q)}"),
+    ("<*>[a][a][a]false", "t", "{(false,a,false)}"),
+]
+
+
+@pytest.mark.parametrize("text, state, printed", PINNED_WITNESSES)
+def test_witness_update_pinned(text, state, printed):
+    m = load_model(WITNESS_MODEL)
+    assert len(arrow_blocks(m, coarsest_partition(m))) == 9
+    w = witness_update(m, state, parse_formula(text))
+    assert (None if w is None else print_update(w)) == printed
 
 
 def test_arrows_only_memo_key_matches_naive_semantics():

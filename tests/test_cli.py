@@ -1,7 +1,9 @@
+import contextlib
 import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aaul import (
     AaulError,
@@ -87,6 +89,15 @@ def test_check_long_conjunction(model_file):
     # a flat conjunction is one level of the recursion budget, however long
     code, out, _ = invoke(["check", model_file, " & ".join(["<a>p"] * 70)])
     assert (code, out) == (0, "true\n")
+
+
+@pytest.mark.parametrize("n", [30, 70])
+def test_check_long_disjunction(model_file, n):
+    # a | chain desugars to one negated flat conjunction, so it is as shallow
+    code, out, _ = invoke(["check", model_file, " | ".join(["[a]~p"] * (n - 1) + ["<a>p"])])
+    assert (code, out) == (0, "true\n")
+    code, out, _ = invoke(["check", model_file, " | ".join(["[a]~p"] * n)])
+    assert (code, out) == (1, "false\n")
 
 
 def test_check_budget_option(model_file):
@@ -287,3 +298,81 @@ def test_sat_search_matches_naive_reference():
 def test_help_exits_zero():
     code, _, _ = invoke(["--help"])
     assert code == 0
+
+
+# ------------------------------------------------------------- fuzzing
+
+_fuzz_name = st.sampled_from(["w", "v", "x", "p", "q", "a", "b", "w-", "1", "é", ""])
+
+
+@st.composite
+def _fuzz_valid_model(draw):
+    states = draw(st.lists(st.sampled_from(["w", "v", "x"]), min_size=1, max_size=3, unique=True))
+    lines = ["states: " + " ".join(states)]
+    for agent in draw(st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True)):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(states)), max_size=3))
+        lines.append(f"agent {agent}:" + "".join(f" {s}->{t}" for s, t in pairs))
+    for prop in draw(st.lists(st.sampled_from(["p", "q"]), max_size=2, unique=True)):
+        lines.append(f"val {prop}: " + " ".join(draw(st.lists(st.sampled_from(states), max_size=3, unique=True))))
+    if draw(st.integers(0, 3)):
+        lines.append(f"point: {draw(st.sampled_from(states))}")
+    return "\n".join(lines) + "\n"
+
+
+_fuzz_model_line = st.one_of(
+    st.lists(_fuzz_name, max_size=3).map(lambda ss: "states: " + " ".join(ss)),
+    st.builds(
+        lambda a, pairs: f"agent {a}:" + "".join(f" {s}->{t}" for s, t in pairs),
+        _fuzz_name,
+        st.lists(st.tuples(_fuzz_name, _fuzz_name), max_size=3),
+    ),
+    st.builds(lambda p, ss: f"val {p}: " + " ".join(ss), _fuzz_name, st.lists(_fuzz_name, max_size=3)),
+    _fuzz_name.map(lambda s: f"point: {s}"),
+    st.text(alphabet="statevlpoin :->#w\t", max_size=16),
+)
+# well-formed inputs listed more than once, so that most examples get past the parsers
+_fuzz_model = st.one_of(_fuzz_valid_model(), _fuzz_valid_model(), st.lists(_fuzz_model_line, max_size=6).map("\n".join))
+_fuzz_wellformed = st.recursive(
+    st.sampled_from(["p", "q", "r", "true", "false"]),
+    lambda inner: st.one_of(
+        inner.map(lambda f: "~" + f),
+        st.builds(lambda f, op, g: f"({f}{op}{g})", inner, st.sampled_from([" & ", " | ", " -> ", " <-> "]), inner),
+        st.builds(str.__add__, st.sampled_from(["[a]", "<b>", "[c]", "[*]", "<*>"]), inner),
+        st.builds(lambda pre, a, post, f: f"[{{({pre},{a},{post})}}]{f}", inner, st.sampled_from("ab"), inner, inner),
+    ),
+    max_leaves=8,
+)
+_fuzz_formula = st.one_of(
+    _fuzz_wellformed,
+    _fuzz_wellformed,
+    st.builds(lambda f, n: f[:n], _fuzz_wellformed, st.integers(0, 20)),
+    st.text(alphabet="pqab~&|-><=[]{}(),* ", max_size=24),
+)
+_fuzz_update = st.one_of(
+    st.lists(
+        st.builds(lambda pre, a, post: f"({pre},{a},{post})", _fuzz_wellformed, st.sampled_from("abc"), _fuzz_wellformed),
+        max_size=3,
+    ).map(lambda clauses: "{" + ",".join(clauses) + "}"),
+    st.text(alphabet="pqab~&|-><[]{}(),* ", max_size=24),
+)
+_fuzz_argv = st.one_of(
+    st.builds(
+        lambda f, extra: ["check", "-", f, *extra],
+        _fuzz_formula,
+        st.sampled_from([[], [], ["--state", "v"], ["--max-blocks", "0"], ["--max-blocks", "2"]]),
+    ),
+    st.builds(lambda u: ["apply", "-", "--update", u], _fuzz_update),
+    st.just(["bisim", "-"]),
+    st.just(["dot", "-"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_argv, _fuzz_model)
+def test_cli_fuzz_exits_cleanly(argv, model_text):
+    # a traceback printed to the process's stderr would bypass run's stream
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _, run_err = invoke(argv, model_text)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() + run_err

@@ -224,6 +224,10 @@ def test_desugar_fixed_cases():
     assert desugar(BOT) == Not(TOP)
     assert desugar(Diamond("a", Atom("p"))) == Not(Box("a", Not(Atom("p"))))
     assert desugar(ArbDiamond(TOP)) == Not(ArbBox(Not(TOP)))
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    assert desugar(Or(p, q)) == Not(And(Not(p), Not(q)))
+    assert desugar(Or(p, Or(q, r))) == Not(And(Not(p), And(Not(q), Not(r))))
+    assert desugar(Or(Or(p, q), r)) == Not(And(Not(Not(And(Not(p), Not(q)))), Not(r)))
     u = Update((Clause(Diamond("a", TOP), "b", BOT),))
     d = desugar(UpdateBox(u, Atom("p")))
     assert isinstance(d, UpdateBox)
