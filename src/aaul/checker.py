@@ -51,6 +51,7 @@ from .syntax import (
     UpdateBox,
     UpdateDiamond,
     desugar,
+    desugar_update,
     flatten_conj,
     parse_update,
     print_formula,
@@ -143,14 +144,15 @@ def _checked_blocks(m: KripkeModel, budget: Budget) -> tuple[Partition, tuple[Ar
 class _Evaluator:
     """Truth-set evaluation of core formulas, memoized per (model, subformula).
 
-    One evaluator serves one public call. The memo maps a model's per-agent
-    arrow tuple, then id(node), to a truth set (nested, so the cyclic GC
-    scans one dict per model, not one key per entry). Sound because every
-    model one evaluator sees is the root or a union or update derived from
-    it, sharing the root's states, agents, props, valuation and point; and
-    every node belongs to the desugared tree, which the caller holds until
-    the call returns, so no id is recycled while the memo lives. Equal
-    truth sets are interned: the memo holds one frozenset per distinct set.
+    One evaluator serves one `core_checker`. The memo maps a model's
+    per-agent arrow tuple, then id(node), to a truth set (nested, so the
+    cyclic GC scans one dict per model, not one key per entry). Sound
+    because every model one evaluator sees is the root or a union or update
+    derived from it, sharing the root's states, agents, props, valuation
+    and point; and every node belongs to a desugared tree that the caller
+    holds while the evaluator lives, so no id is recycled while the memo
+    lives. Equal truth sets are interned: the memo holds one frozenset per
+    distinct set.
     """
 
     def __init__(self, budget: Budget):
@@ -206,18 +208,46 @@ class _Evaluator:
         raise TypeError(f"not a core formula: {f!r}")
 
 
+def _guarded(call, *args):
+    """call(*args), with a stack overflow turned into a budget refusal.
+    desugar and the evaluator recurse; the overflow is caught here, at the
+    kernel's entries, so evaluation pays nothing per node."""
+    try:
+        return call(*args)
+    except RecursionError:
+        raise BudgetExceededError("formula nested too deeply", kind="recursion") from None
+
+
+def core_formula(f: Formula) -> Formula:
+    """f desugared to the core connectives `core_checker` evaluates."""
+    return _guarded(desugar, f)
+
+
+def core_checker(budget: Budget = DEFAULT_BUDGET):
+    """The kernel's one entry: check(m, f), the truth set in m of a core
+    formula f (see `core_formula`). The calls of one check share one fresh
+    evaluator, whose memo is keyed by arrows alone, so every model given to
+    one check must share states, valuation and point with the first, as
+    the unions and updates of one model do."""
+    ev = _Evaluator(budget)
+    return lambda m, f: _guarded(ev.truth_set, m, f, 0)
+
+
 def truth_set(m: KripkeModel, f: Formula, budget: Budget = DEFAULT_BUDGET) -> frozenset[str]:
     """The states of m where f holds."""
-    try:
-        return _Evaluator(budget).truth_set(m, desugar(f), 0)
-    except RecursionError:
-        # caught at the public entry, so evaluation pays nothing per node
-        raise BudgetExceededError("formula nested too deeply", kind="recursion") from None
+    return core_checker(budget)(m, core_formula(f))
 
 
 def satisfies(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFAULT_BUDGET) -> bool:
     m.state_index(state)
     return state in truth_set(m, f, budget)
+
+
+def update_model(m: KripkeModel, u: Update, budget: Budget = DEFAULT_BUDGET) -> KripkeModel:
+    """m after the update u, the update desugared once and every clause
+    judged in m by one evaluator."""
+    check = core_checker(budget)
+    return apply_update(m, _guarded(desugar_update, u), lambda mm, w, g: w in check(mm, g))
 
 
 def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFAULT_BUDGET):
@@ -229,14 +259,11 @@ def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFA
         raise TypeError("witness_update expects a <*> formula")
     m.state_index(state)
     part, blocks = _checked_blocks(m, budget)
-    ev = _Evaluator(budget)
-    try:
-        body = desugar(f.body)
-        for chosen, sub in _unions(m, blocks):
-            if state in ev.truth_set(sub, body, 0):
-                return _materialize_update(m, part, blocks, chosen)
-    except RecursionError:
-        raise BudgetExceededError("formula nested too deeply", kind="recursion") from None
+    body = core_formula(f.body)
+    check = core_checker(budget)
+    for chosen, sub in _unions(m, blocks):
+        if state in check(sub, body):
+            return _materialize_update(m, part, blocks, chosen)
     return None
 
 

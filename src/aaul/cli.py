@@ -22,7 +22,7 @@ import itertools
 import sys
 
 from .bisim import coarsest_partition
-from .checker import Budget, DEFAULT_BUDGET, satisfies
+from .checker import Budget, DEFAULT_BUDGET, core_checker, core_formula, satisfies, update_model
 from .errors import AaulError
 from .kripke import KripkeModel, export_dot, load_model, save_model
 from .syntax import (
@@ -37,16 +37,23 @@ from .syntax import (
     signature,
 )
 from .tiling import build_torus_model, encode_parts, find_periodic_tiling, parse_tiles
-from .updates import apply_update
 
 
 class _UsageError(AaulError):
     pass
 
 
+class _Help(Exception):
+    """The help text --help asked for, carried to `run`."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        # argparse would print to the process's stdout; run writes it to its own
+        raise _Help(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -123,8 +130,9 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _dispatch(args, stdin, out)
-    except SystemExit as e:  # argparse --help
-        return 0 if e.code in (0, None) else int(e.code)
+    except _Help as h:
+        out.write(str(h))
+        return 0
     except (AaulError, ValueError, OSError) as e:
         err.write(f"error: {e}\n")
         return 2
@@ -144,11 +152,7 @@ def _dispatch(args, stdin, out) -> int:
     if args.command == "apply":
         m = load_model(_read(args.model, stdin))
         u = parse_update(args.update)
-
-        def ev(mm, ww, ff):
-            return satisfies(mm, ww, ff, DEFAULT_BUDGET)
-
-        _write(save_model(apply_update(m, u, ev)), args.output, out)
+        _write(save_model(update_model(m, u)), args.output, out)
         return 0
 
     if args.command == "bisim":
@@ -218,6 +222,7 @@ def _sat_search(args, out) -> int:
     if args.max_states < 1:
         raise AaulError("--max-states must be at least 1")
     budget = _budget(args)
+    conjuncts = tuple(map(core_formula, _conjunct_order(f)))
 
     seen = 0
     for n in range(1, args.max_states + 1):
@@ -227,7 +232,7 @@ def _sat_search(args, out) -> int:
                 f"search space at {n} states needs {count} candidates, over --limit {args.limit}"
             )
         seen += count
-        found = _sat_search_n(f, n, agents, props, budget)
+        found = _sat_search_n(conjuncts, n, agents, props, budget)
         if found is not None:
             out.write(save_model(found))
             return 0
@@ -320,9 +325,10 @@ def _conjunct_order(f) -> tuple:
     return tuple(sorted(flatten_conj(f), key=group))
 
 
-def _sat_search_n(f, n: int, agents, props, budget) -> KripkeModel | None:
-    """The first model with n states, in candidate order, that satisfies f
-    at s0, among those in canonical form; None if there is none.
+def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | None:
+    """The first model with n states, in candidate order, that satisfies
+    every one of the core formulas `conjuncts` at s0, among those in
+    canonical form; None if there is none.
 
     A candidate is a tuple of n-bit valuation masks, one per proposition,
     then n*n-bit arrow masks, one per agent, visited in itertools.product
@@ -344,25 +350,40 @@ def _sat_search_n(f, n: int, agents, props, budget) -> KripkeModel | None:
     per node, and conjuncts share no node that takes work), only at a
     smaller recursion depth. So a conjunct exceeds a budget only where f
     does: the search refuses only on a candidate whose checked conjuncts
-    reach one over budget, never where checking f whole decides.
+    reach one over budget, never where checking f whole decides. The
+    conjuncts of one candidate share one evaluator. Each was desugared on
+    its own, so they share no node but leaves, whose truth sets take no
+    recursion: every verdict and every refusal is the one a fresh
+    evaluator per conjunct gives.
     """
     states = tuple(f"s{i}" for i in range(n))
     # validated once per size, so a bad --agents or --props name is reported
     # here; the candidates, over the same names, are derived from it unchecked
     base = KripkeModel(states, agents, props, {}, {}, point=states[0])
-    conjuncts = _conjunct_order(f)
+    # per-size tables, O(n * 2^n) entries: the states of each n-bit mask,
+    # and for each state i the arrows out of it, indexed by row i (bits
+    # i*n .. i*n+n-1) of an arrow mask
+    state_sets = tuple(
+        frozenset(s for j, s in enumerate(states) if (mask >> j) & 1) for mask in range(1 << n)
+    )
+    rows = tuple(
+        tuple(frozenset((s, t) for t in targets) for targets in state_sets) for s in states
+    )
+    full = (1 << n) - 1
+
+    def arrows_of(mask: int) -> frozenset:
+        out = frozenset()
+        for row in rows:
+            out |= row[mask & full]
+            mask >>= n
+        return out
+
     for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
-        valuation = {
-            p: frozenset(states[i] for i in range(n) if (mask >> i) & 1)
-            for p, mask in zip(props, prop_masks)
-        }
+        valued = base._derive(base.arrows, dict(zip(props, map(state_sets.__getitem__, prop_masks))))
         for arrow_masks in arrow_tuples:
-            arrows = {
-                a: frozenset((states[k // n], states[k % n]) for k in range(n * n) if (mask >> k) & 1)
-                for a, mask in zip(agents, arrow_masks)
-            }
-            m = base._derive(arrows, valuation)
-            if all(satisfies(m, states[0], c, budget) for c in conjuncts):
+            m = valued._derive(dict(zip(agents, map(arrows_of, arrow_masks))))
+            check = core_checker(budget)
+            if all(states[0] in check(m, c) for c in conjuncts):
                 return m
     return None
 

@@ -431,9 +431,9 @@ def desugar(f: Formula) -> Formula:
     if isinstance(f, Diamond):
         return Not(Box(f.agent, Not(desugar(f.body))))
     if isinstance(f, UpdateBox):
-        return UpdateBox(_desugar_update(f.update), desugar(f.body))
+        return UpdateBox(desugar_update(f.update), desugar(f.body))
     if isinstance(f, UpdateDiamond):
-        return Not(UpdateBox(_desugar_update(f.update), Not(desugar(f.body))))
+        return Not(UpdateBox(desugar_update(f.update), Not(desugar(f.body))))
     if isinstance(f, ArbBox):
         return ArbBox(desugar(f.body))
     if isinstance(f, ArbDiamond):
@@ -441,7 +441,8 @@ def desugar(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _desugar_update(u: Update) -> Update:
+def desugar_update(u: Update) -> Update:
+    """u with every clause formula desugared."""
     return Update(tuple(Clause(desugar(c.pre), c.agent, desugar(c.post)) for c in u.clauses))
 
 

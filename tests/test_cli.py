@@ -14,14 +14,18 @@ from aaul import (
     parse_formula,
     parse_tiles,
     print_formula,
+    print_update,
     save_model,
 )
 from aaul.cli import _canonical_candidates, run
 from helpers import (
+    naive_apply,
     naive_canonical,
     naive_sat_search,
     random_formula,
+    random_model,
     random_quantifier_free,
+    random_update,
     single_quantifier_formula,
 )
 
@@ -128,6 +132,15 @@ def test_apply_output_file(model_file, tmp_path):
     assert load_model(target.read_text()) == load_model(WV)
 
 
+def test_apply_matches_naive_reference():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        m = random_model(rng)
+        u = random_update(rng, rng.randint(0, 2))
+        code, out, _ = invoke(["apply", "-", "--update", print_update(u)], save_model(m))
+        assert (code, out) == (0, save_model(naive_apply(m, u))), print_update(u)
+
+
 def test_bisim(model_file):
     code, out, _ = invoke(["bisim", model_file])
     assert code == 0
@@ -231,6 +244,22 @@ def test_sat_search_checks_conjuncts_one_at_a_time():
     assert code == 2 and "2 arrow blocks exceed the cap of 1" in err
 
 
+def test_sat_search_depth_refusal():
+    code, out, err = invoke(["sat-search", "~" * 70 + "p", "--max-states", "1"])
+    assert (code, out, err) == (2, "", "error: recursion deeper than 64\n")
+
+
+def test_sat_search_first_model_found():
+    # pins the first satisfying candidate, so that a change in the
+    # candidate order shows up as a different model
+    f = "<a>(p & q) & <a>(p & ~q) & <a>(~p & q) & [a]<*>[a]false"
+    code, out, _ = invoke(["sat-search", f, "--max-states", "3"])
+    assert (code, out) == (
+        0,
+        "states: s0 s1 s2\nagent a: s0->s0 s0->s1 s0->s2\nval p: s0 s1\nval q: s0 s2\npoint: s0\n",
+    )
+
+
 @pytest.mark.parametrize("n,props,agents", [(2, 2, 2), (3, 2, 1), (3, 0, 2), (4, 1, 1)])
 def test_sat_search_candidates_are_exactly_the_canonical_ones(n, props, agents):
     kept = [
@@ -295,9 +324,12 @@ def test_sat_search_matches_naive_reference():
     assert decided >= 20
 
 
-def test_help_exits_zero():
-    code, _, _ = invoke(["--help"])
-    assert code == 0
+def test_help_exits_zero(capsys):
+    # the help text goes to run's stdout, not the process's
+    for argv, usage in ((["--help"], "usage: aaul [-h]"), (["sat-search", "--help"], "usage: aaul sat-search")):
+        code, out, err = invoke(argv)
+        assert code == 0 and out.startswith(usage) and err == ""
+        assert capsys.readouterr().out == ""
 
 
 # ------------------------------------------------------------- fuzzing
@@ -355,7 +387,32 @@ _fuzz_update = st.one_of(
     ).map(lambda clauses: "{" + ",".join(clauses) + "}"),
     st.text(alphabet="pqab~&|-><[]{}(),* ", max_size=24),
 )
-_fuzz_argv = st.one_of(
+
+
+@st.composite
+def _fuzz_valid_tiles(draw):
+    colors = draw(st.lists(st.sampled_from(["g", "b", "w"]), min_size=1, max_size=3, unique=True))
+    lines = []
+    if draw(st.booleans()):
+        lines.append("colors: " + " ".join(colors))
+    names = draw(st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3, unique=True))
+    for name in names:
+        sides = [f"{side}={draw(st.sampled_from(colors))}" for side in "NESW"]
+        lines.append(f"tile {name} " + " ".join(draw(st.permutations(sides))))
+    return "\n".join(lines) + "\n"
+
+
+_fuzz_tiles_line = st.one_of(
+    st.lists(_fuzz_name, max_size=3).map(lambda cs: "colors: " + " ".join(cs)),
+    st.builds(
+        lambda name, sides: f"tile {name} " + " ".join(f"{k}={c}" for k, c in sides),
+        _fuzz_name,
+        st.lists(st.tuples(st.sampled_from(["N", "E", "S", "W", "X", ""]), _fuzz_name), max_size=5),
+    ),
+    st.text(alphabet="tilecors:NESW= g#\t", max_size=16),
+)
+_fuzz_tiles = st.one_of(_fuzz_valid_tiles(), _fuzz_valid_tiles(), st.lists(_fuzz_tiles_line, max_size=4).map("\n".join))
+_fuzz_model_argv = st.one_of(
     st.builds(
         lambda f, extra: ["check", "-", f, *extra],
         _fuzz_formula,
@@ -365,14 +422,38 @@ _fuzz_argv = st.one_of(
     st.just(["bisim", "-"]),
     st.just(["dot", "-"]),
 )
+_fuzz_tiles_argv = st.one_of(
+    st.builds(lambda extra: ["encode-tiling", "-", *extra], st.sampled_from([[], ["--conjunct", "refl_a"], ["--conjunct", "x"]])),
+    st.builds(lambda k: ["tile-search", "-", "--max-period", str(k)], st.integers(-1, 2)),
+    st.builds(
+        lambda k, extra: ["witness-model", "-", "--period", str(k), *extra],
+        st.integers(-1, 2),
+        st.sampled_from([[], ["--cell-props"]]),
+    ),
+)
+# --max-states and --limit kept small, so that no search runs long
+_fuzz_sat_argv = st.builds(
+    lambda f, n, limit, extra: ["sat-search", f, "--max-states", str(n), "--limit", str(limit), *extra],
+    st.one_of(_fuzz_wellformed, _fuzz_wellformed, _fuzz_formula),
+    st.integers(0, 2),
+    st.integers(1, 300),
+    st.sampled_from([[], [], ["--agents", "a,b"], ["--props", "p"], ["--agents", "a b"], ["--max-blocks", "1"]]),
+)
+# (argv, standard input) pairs
+_fuzz_case = st.one_of(
+    st.tuples(_fuzz_model_argv, _fuzz_model),
+    st.tuples(_fuzz_tiles_argv, _fuzz_tiles),
+    st.tuples(_fuzz_sat_argv, st.just("")),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_fuzz_argv, _fuzz_model)
-def test_cli_fuzz_exits_cleanly(argv, model_text):
+@given(_fuzz_case)
+def test_cli_fuzz_exits_cleanly(case):
+    argv, stdin_text = case
     # a traceback printed to the process's stderr would bypass run's stream
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code, _, run_err = invoke(argv, model_text)
+        code, _, run_err = invoke(argv, stdin_text)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue() + run_err
