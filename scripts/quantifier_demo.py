@@ -10,7 +10,6 @@ import argparse
 
 from aaul import (
     KripkeModel,
-    apply_update,
     arrow_blocks,
     coarsest_partition,
     parse_formula,
@@ -18,6 +17,7 @@ from aaul import (
     print_update,
     satisfies,
     truth_set,
+    update_model,
     witness_update,
 )
 from aaul.tiling import refl
@@ -50,7 +50,7 @@ def main() -> None:
     update = witness_update(m, "s", goal)
     assert update is not None
     print(f"  found: {print_update(update)}")
-    updated = apply_update(m, update, lambda mm, ww, ff: satisfies(mm, ww, ff))
+    updated = update_model(m, update)
     print(f"  arrows after applying it: {sorted(updated.arrow_set(args.agent))}")
     print(f"  goal body now holds: {satisfies(updated, 's', goal.body)}")
     print()

@@ -1,10 +1,10 @@
 """Arrow update logic toolkit.
 
 Formulas (syntax) are checked on finite Kripke models (kripke) by a
-truth-set evaluator (checker) that decides the arbitrary-update modalities
-through bisimulation quotients (bisim). Updates prune arrows (updates). On
-top sits an encoder that reduces plane tiling to satisfiability (tiling)
-and a command line front end (cli).
+truth-set evaluator (checker) that applies updates, which prune arrows, and
+decides the arbitrary-update modalities through bisimulation quotients
+(bisim). On top sits an encoder that reduces plane tiling to satisfiability
+(tiling) and a command line front end (cli).
 """
 
 from .bisim import (
@@ -20,6 +20,7 @@ from .checker import (
     brute_force_arb_oracle,
     satisfies,
     truth_set,
+    update_model,
     witness_update,
 )
 from .errors import (
@@ -75,6 +76,5 @@ from .tiling import (
     parse_tiles,
     refl,
 )
-from .updates import apply_update, arrow_matches
 
 __version__ = "0.1.0"

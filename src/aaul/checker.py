@@ -56,7 +56,6 @@ from .syntax import (
     parse_update,
     print_formula,
 )
-from .updates import apply_update
 
 
 @dataclass(frozen=True)
@@ -130,6 +129,34 @@ def _materialize_update(
     )
 
 
+def apply_update(m: KripkeModel, u: Update, truth) -> KripkeModel:
+    """m after the update u: an agent's arrow (s, t) is kept exactly when
+    some clause (pre, agent, post) has pre true at s and post true at t,
+    both in m, never in the partly built result. truth(g) is the truth set
+    of clause formula g in m. States, valuation and point are untouched, so
+    the result is built unchecked; clauses for agents m does not declare
+    admit nothing.
+
+    Each clause is tried only on the arrows no earlier clause kept, and its
+    post is judged only when one of them starts in pre. So a clause formula
+    is judged exactly when some arrow needs it, and one that no arrow needs
+    can never trip a budget.
+    """
+    arrows = {}
+    for agent in m.agents:
+        left = m.arrows[agent]
+        for c in u.clauses:
+            if c.agent != agent or not left:
+                continue
+            pre = truth(c.pre)
+            starting = [(s, t) for s, t in left if s in pre]
+            if starting:
+                post = truth(c.post)
+                left = left.difference((s, t) for s, t in starting if t in post)
+        arrows[agent] = m.arrows[agent] - left
+    return m._derive(arrows)
+
+
 def _checked_blocks(m: KripkeModel, budget: Budget) -> tuple[Partition, tuple[ArrowBlock, ...]]:
     part = coarsest_partition(m)
     blocks = arrow_blocks(m, part)
@@ -190,10 +217,7 @@ class _Evaluator:
             failing = {s for s, t in m.arrow_set(f.agent) if t not in body}
             return frozenset(m.states) - failing
         if isinstance(f, UpdateBox):
-            def ev(mm, ww, ff, _d=depth + 1):
-                return ww in self.truth_set(mm, ff, _d)
-
-            updated = apply_update(m, f.update, ev)
+            updated = apply_update(m, f.update, lambda g: self.truth_set(m, g, depth + 1))
             return self.truth_set(updated, f.body, depth + 1)
         if isinstance(f, ArbBox):
             if isinstance(f.body, Top):
@@ -247,7 +271,7 @@ def update_model(m: KripkeModel, u: Update, budget: Budget = DEFAULT_BUDGET) -> 
     """m after the update u, the update desugared once and every clause
     judged in m by one evaluator."""
     check = core_checker(budget)
-    return apply_update(m, _guarded(desugar_update, u), lambda mm, w, g: w in check(mm, g))
+    return apply_update(m, _guarded(desugar_update, u), lambda g: check(m, g))
 
 
 def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFAULT_BUDGET):
@@ -324,7 +348,7 @@ class _Oracle:
             return any(results)
         if isinstance(f, (UpdateBox, UpdateDiamond)):
             # applying an update is deterministic, so [U] and <U> coincide
-            updated = apply_update(m, f.update, self._eval(depth + 1))
+            updated = apply_update(m, f.update, self._truth(m, depth + 1))
             return self.holds(updated, w, f.body, depth + 1)
         if isinstance(f, (ArbBox, ArbDiamond)):
             results = []
@@ -335,8 +359,9 @@ class _Oracle:
             return any(results)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _eval(self, depth: int):
-        return lambda mm, ww, ff: self.holds(mm, ww, ff, depth)
+    def _truth(self, m: KripkeModel, depth: int):
+        """g's truth set in m, judged state by state."""
+        return lambda g: frozenset(w for w in m.states if self.holds(m, w, g, depth))
 
     def _all_updated_models(self, m: KripkeModel, depth: int):
         part, blocks = _checked_blocks(m, self.budget)
@@ -352,7 +377,7 @@ class _Oracle:
             else:
                 text = "{(false," + fallback_agent + ",false)}"
             update = parse_update(text)
-            yield apply_update(m, update, self._eval(depth + 1))
+            yield apply_update(m, update, self._truth(m, depth + 1))
 
 
 def brute_force_arb_oracle(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFAULT_BUDGET) -> bool:

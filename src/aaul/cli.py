@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 from .bisim import coarsest_partition
@@ -26,7 +27,6 @@ from .checker import Budget, DEFAULT_BUDGET, core_checker, core_formula, satisfi
 from .errors import AaulError
 from .kripke import KripkeModel, export_dot, load_model, save_model
 from .syntax import (
-    Formula,
     UpdateBox,
     UpdateDiamond,
     flatten_conj,
@@ -35,6 +35,7 @@ from .syntax import (
     parse_update,
     print_formula,
     signature,
+    subformulas,
 )
 from .tiling import build_torus_model, encode_parts, find_periodic_tiling, parse_tiles
 
@@ -98,7 +99,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--agents", help="comma separated; defaults to the formula's agents")
     p.add_argument("--props", help="comma separated; defaults to the formula's atoms")
     p.add_argument("--max-blocks", type=int)
-    p.add_argument("--limit", type=int, default=1_000_000, help="candidate model cap")
+    p.add_argument(
+        "--limit", type=int, default=1_000_000,
+        help="cap on candidate models, and on relabelling table entries per size",
+    )
 
     return parser
 
@@ -232,6 +236,12 @@ def _sat_search(args, out) -> int:
                 f"search space at {n} states needs {count} candidates, over --limit {args.limit}"
             )
         seen += count
+        # the relabellings other than the identity, each a 2^n-entry table
+        table = (math.factorial(n - 1) - 1) << n
+        if table > args.limit:
+            raise AaulError(
+                f"relabelling table at {n} states needs {table} entries, over --limit {args.limit}"
+            )
         found = _sat_search_n(conjuncts, n, agents, props, budget)
         if found is not None:
             out.write(save_model(found))
@@ -308,19 +318,10 @@ def _conjunct_order(f) -> tuple:
     first, then those with an update, then those with [*]/<*>, each group
     in the given order."""
 
-    def has_update(g) -> bool:
-        stack = [g]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, (UpdateBox, UpdateDiamond)):
-                return True
-            stack.extend(h for h in vars(g).values() if isinstance(h, Formula))
-        return False
-
     def group(c) -> int:
         if not is_quantifier_free(c):
             return 2
-        return 1 if has_update(c) else 0
+        return int(any(isinstance(g, (UpdateBox, UpdateDiamond)) for g in subformulas(c)))
 
     return tuple(sorted(flatten_conj(f), key=group))
 

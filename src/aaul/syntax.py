@@ -446,37 +446,39 @@ def desugar_update(u: Update) -> Update:
     return Update(tuple(Clause(desugar(c.pre), c.agent, desugar(c.post)) for c in u.clauses))
 
 
+def subformulas(f: Formula):
+    """Every node of f, f first, update clause formulas included.
+
+    Walked with an explicit stack, so no nesting depth overflows it.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (And, Or, Implies, Iff)):
+            stack += (g.right, g.left)
+        elif isinstance(g, (UpdateBox, UpdateDiamond)):
+            stack.append(g.body)
+            for c in reversed(g.update.clauses):
+                stack += (c.post, c.pre)
+        elif isinstance(g, (Not, Box, Diamond, ArbBox, ArbDiamond)):
+            stack.append(g.body)
+        elif not isinstance(g, (Atom, Top, Bot)):
+            raise TypeError(f"not a formula: {g!r}")
+
+
 def signature(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
     """The (atoms, agents) mentioned anywhere in the formula, clauses included."""
     atoms: set[str] = set()
     agents: set[str] = set()
-    _walk_signature(f, atoms, agents)
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            atoms.add(g.name)
+        elif isinstance(g, (Box, Diamond)):
+            agents.add(g.agent)
+        elif isinstance(g, (UpdateBox, UpdateDiamond)):
+            agents.update(c.agent for c in g.update.clauses)
     return frozenset(atoms), frozenset(agents)
-
-
-def _walk_signature(f: Formula, atoms: set, agents: set):
-    if isinstance(f, Atom):
-        atoms.add(f.name)
-    elif isinstance(f, (Top, Bot)):
-        pass
-    elif isinstance(f, Not):
-        _walk_signature(f.body, atoms, agents)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        _walk_signature(f.left, atoms, agents)
-        _walk_signature(f.right, atoms, agents)
-    elif isinstance(f, (Box, Diamond)):
-        agents.add(f.agent)
-        _walk_signature(f.body, atoms, agents)
-    elif isinstance(f, (UpdateBox, UpdateDiamond)):
-        for c in f.update.clauses:
-            agents.add(c.agent)
-            _walk_signature(c.pre, atoms, agents)
-            _walk_signature(c.post, atoms, agents)
-        _walk_signature(f.body, atoms, agents)
-    elif isinstance(f, (ArbBox, ArbDiamond)):
-        _walk_signature(f.body, atoms, agents)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
 
 
 def is_quantifier_free(f: Formula) -> bool:
@@ -485,19 +487,4 @@ def is_quantifier_free(f: Formula) -> bool:
     The arbitrary-update modalities quantify over exactly the updates whose
     clause formulas satisfy this predicate.
     """
-    if isinstance(f, (Atom, Top, Bot)):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return is_quantifier_free(f.left) and is_quantifier_free(f.right)
-    if isinstance(f, (Box, Diamond)):
-        return is_quantifier_free(f.body)
-    if isinstance(f, (UpdateBox, UpdateDiamond)):
-        return all(
-            is_quantifier_free(c.pre) and is_quantifier_free(c.post)
-            for c in f.update.clauses
-        ) and is_quantifier_free(f.body)
-    if isinstance(f, (ArbBox, ArbDiamond)):
-        return False
-    raise TypeError(f"not a formula: {f!r}")
+    return not any(isinstance(g, (ArbBox, ArbDiamond)) for g in subformulas(f))

@@ -16,9 +16,11 @@ for the side colors of the placed tile.
 `build_torus_model` realizes a period-k solution as a finite model: k*k
 cells with wrap-around direction arrows, plus the origin hub. On that model
 the four grid conjuncts (one_tile, one_color, tile_colors, tile_match) are
-checkable directly; the quantified conjuncts blow past any reasonable arrow
-block budget already at k=2 and are deliberately left to the budget
-machinery to refuse.
+checkable directly. The quantified conjuncts decide under the default
+budget on the 1x1 torus (8 arrow blocks) and on the plain 2x2 torus (15
+blocks), the nested ones (propd_*, return_*) slowly. With one private
+proposition per cell (`cell_props`) the 2x2 torus has 29 arrow blocks, and
+the default budget refuses them.
 """
 
 from __future__ import annotations

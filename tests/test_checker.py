@@ -19,7 +19,6 @@ from aaul import (
     UnknownAgentError,
     UnknownStateError,
     UpdateBox,
-    apply_update,
     arrow_blocks,
     brute_force_arb_oracle,
     coarsest_partition,
@@ -29,6 +28,7 @@ from aaul import (
     print_update,
     satisfies,
     truth_set,
+    update_model,
     witness_update,
 )
 from aaul.checker import _unions
@@ -160,11 +160,7 @@ def test_witness_update_fixed_example():
     w = witness_update(m, "s", f)
     assert w is not None
     assert all(is_quantifier_free(c.pre) and is_quantifier_free(c.post) for c in w.clauses)
-
-    def ev(mm, ww, ff):
-        return satisfies(mm, ww, ff)
-
-    after = apply_update(m, w, ev)
+    after = update_model(m, w)
     assert satisfies(after, "s", f.body)
 
 
@@ -172,7 +168,7 @@ def test_witness_update_trivial_formula():
     m = load_model("states: s\nagent a: s->s\n")
     w = witness_update(m, "s", ArbDiamond(TOP))
     assert w is not None
-    after = apply_update(m, w, lambda mm, ww, ff: satisfies(mm, ww, ff))
+    after = update_model(m, w)
     assert satisfies(after, "s", TOP)
 
 
@@ -197,7 +193,7 @@ def test_witness_update_agreement_with_satisfies():
             continue
         assert (w is not None) == expected
         if w is not None:
-            after = apply_update(m, w, lambda mm, ww, ff: satisfies(mm, ww, ff, budget))
+            after = update_model(m, w, budget)
             assert satisfies(after, s, body, budget)
         checked += 1
 
@@ -306,9 +302,6 @@ def test_unions_walk_lexicographic_order():
 
 
 def test_unchecked_models_equal_validated_ones():
-    def ev(mm, ww, ff):
-        return naive_eval(mm, ww, ff)
-
     rng = random.Random(71)
     for _ in range(60):
         m = random_model(rng, max_states=4)
@@ -319,7 +312,7 @@ def test_unchecked_models_equal_validated_ones():
         for chosen, sub in walked:
             _assert_equal_models(sub, _validated_union(m, blocks, chosen))
         for _, sub in walked[-3:]:
-            updated = apply_update(sub, random_update(rng), ev)
+            updated = update_model(sub, random_update(rng))
             _assert_equal_models(updated, m.with_arrows(updated.arrows))
 
 

@@ -109,6 +109,26 @@ def test_check_budget_option(model_file):
     assert code == 2 and "arrow blocks" in err
 
 
+# agent a has no arrows; b's three arrows fall in three blocks
+NEEDS = "states: s t\nagent a:\nagent b: s->t t->s s->s\nval p: s\npoint: s\n"
+
+
+@pytest.mark.parametrize(
+    "formula,expected",
+    [
+        # no arrow of a to judge the clause on
+        ("[{([*]p,a,true)}]true", (0, "true\n", "")),
+        # the first clause keeps every arrow
+        ("[{(true,b,true),([*]p,b,true)}]true", (0, "true\n", "")),
+        ("[{([*]p,b,true)}]true", (2, "", "error: 3 arrow blocks exceed the cap of 1\n")),
+        # s->t and s->s are left after the first clause, and start in true
+        ("[{(~p,b,true),(true,b,[*]p)}]true", (2, "", "error: 3 arrow blocks exceed the cap of 1\n")),
+    ],
+)
+def test_update_judges_only_the_clauses_it_needs(formula, expected):
+    assert invoke(["check", "-", formula, "--max-blocks", "1"], NEEDS) == expected
+
+
 def test_missing_file():
     code, _, err = invoke(["check", "/nonexistent/m.txt", "p"])
     assert code == 2 and err.startswith("error:")
@@ -216,6 +236,15 @@ def test_sat_search_respects_limit():
         "--limit", "1000",
     ])
     assert code == 2 and "limit" in err
+
+
+def test_sat_search_limit_bounds_the_relabelling_table():
+    # no agents: few candidates, but 8 states need 7! - 1 relabelling tables
+    # of 2^8 entries each
+    code, out, err = invoke(["sat-search", "p & ~p", "--max-states", "8"])
+    assert (code, out) == (2, "") and "over --limit 1000000" in err
+    code, out, _ = invoke(["sat-search", "p & ~p", "--max-states", "7"])
+    assert (code, out) == (1, "none up to 7 states\n")
 
 
 def test_sat_search_bad_agent_name():

@@ -258,6 +258,17 @@ def test_is_quantifier_free():
     assert not is_quantifier_free(parse_formula("[{(<*>true,a,p)}]q"))
 
 
+def test_walker_takes_any_depth():
+    # built through the API, so no parser stands in front; a recursive walk
+    # overflows the stack here
+    f = Atom("p")
+    for _ in range(5000):
+        f = Not(f)
+    assert signature(f) == ({"p"}, set())
+    assert is_quantifier_free(f)
+    assert not is_quantifier_free(And(f, ArbBox(TOP)))
+
+
 def test_print_formula_too_deep_is_a_package_error():
     # built through the API, so no parser stands in front
     f = Atom("p")
