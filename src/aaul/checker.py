@@ -169,23 +169,25 @@ def _checked_blocks(m: KripkeModel, budget: Budget) -> tuple[Partition, tuple[Ar
 
 
 class _Evaluator:
-    """Truth-set evaluation of core formulas, memoized per (model, subformula).
+    """Truth-set evaluation of core formulas, one `truth_set` frame per node,
+    dispatched on the node's type.
 
-    One evaluator serves one `core_checker`. The memo maps a model's
-    per-agent arrow tuple, then id(node), to a truth set (nested, so the
-    cyclic GC scans one dict per model, not one key per entry). Sound
-    because every model one evaluator sees is the root or a union or update
-    derived from it, sharing the root's states, agents, props, valuation
-    and point; and every node belongs to a desugared tree that the caller
-    holds while the evaluator lives, so no id is recycled while the memo
-    lives. Equal truth sets are interned: the memo holds one frozenset per
-    distinct set.
+    One evaluator serves one `core_checker`. Every model it sees is the root
+    or a union or update derived from it, with the root's states, valuation
+    and point: so the state set is built once, and truth sets are memoized
+    by the per-agent arrow tuple, then id(node), in one dict per model that
+    is reused while the same model object comes back. No id is recycled: the
+    caller holds the desugared tree while the evaluator lives. Leaves (Atom,
+    Top) skip the memo, each And chain is flattened once, and equal truth
+    sets are interned: the memo holds one frozenset per distinct set.
     """
 
     def __init__(self, budget: Budget):
         self.budget = budget
-        self.memo: dict = {}
+        self.memos: dict = {}
         self.interned: dict = {}
+        self.conjuncts: dict = {}
+        self.model = self.memo = self.states = None
 
     def truth_set(self, m: KripkeModel, f: Formula, depth: int) -> frozenset[str]:
         if depth > self.budget.max_recursion_depth:
@@ -193,43 +195,41 @@ class _Evaluator:
                 f"recursion deeper than {self.budget.max_recursion_depth}",
                 kind="recursion",
             )
-        memo = self.memo.setdefault(m._fingerprint[3], {})  # keyed by the per-agent arrow tuple
-        hit = memo.get(id(f))
-        if hit is not None:
-            return hit
-        out = self._compute(m, f, depth)
+        kind = type(f)
+        if kind is Atom:
+            return m.valuation.get(f.name, frozenset())  # undeclared propositions are false everywhere
+        if m is not self.model:
+            self.states = self.states or frozenset(m.states)  # a model has at least one state
+            self.model, self.memo = m, self.memos.setdefault(m._fingerprint[3], {})
+        states, memo = self.states, self.memo  # memo stays this model's across the calls below
+        if kind is Top:
+            return states
+        out = memo.get(id(f))
+        if out is not None:
+            return out
+        if kind is Not:
+            out = states - self.truth_set(m, f.body, depth + 1)
+        elif kind is And:
+            # a right-nested chain is one n-ary node: each conjunct at depth + 1
+            parts = self.conjuncts.get(id(f)) or self.conjuncts.setdefault(id(f), flatten_conj(f))
+            out = frozenset.intersection(*[self.truth_set(m, g, depth + 1) for g in parts])
+        elif kind is Box:
+            body = self.truth_set(m, f.body, depth + 1)
+            out = states - {s for s, t in m.arrow_set(f.agent) if t not in body}
+        elif kind is UpdateBox:
+            updated = apply_update(m, f.update, lambda g: self.truth_set(m, g, depth + 1))
+            out = self.truth_set(updated, f.body, depth + 1)
+        elif kind is ArbBox:
+            out = states
+            if type(f.body) is not Top:
+                for _, sub in _unions(m, _checked_blocks(m, self.budget)[1]):
+                    out &= self.truth_set(sub, f.body, depth + 1)
+                    if not out:
+                        break
+        else:
+            raise TypeError(f"not a core formula: {f!r}")
         out = memo[id(f)] = self.interned.setdefault(out, out)
         return out
-
-    def _compute(self, m: KripkeModel, f: Formula, depth: int) -> frozenset[str]:
-        if isinstance(f, Top):
-            return frozenset(m.states)
-        if isinstance(f, Atom):
-            # undeclared propositions are false everywhere
-            return m.valuation.get(f.name, frozenset())
-        if isinstance(f, Not):
-            return frozenset(m.states) - self.truth_set(m, f.body, depth + 1)
-        if isinstance(f, And):
-            # a right-nested chain is one n-ary node: each conjunct at depth + 1
-            return frozenset.intersection(*[self.truth_set(m, g, depth + 1) for g in flatten_conj(f)])
-        if isinstance(f, Box):
-            body = self.truth_set(m, f.body, depth + 1)
-            failing = {s for s, t in m.arrow_set(f.agent) if t not in body}
-            return frozenset(m.states) - failing
-        if isinstance(f, UpdateBox):
-            updated = apply_update(m, f.update, lambda g: self.truth_set(m, g, depth + 1))
-            return self.truth_set(updated, f.body, depth + 1)
-        if isinstance(f, ArbBox):
-            if isinstance(f.body, Top):
-                return frozenset(m.states)
-            part, blocks = _checked_blocks(m, self.budget)
-            out = set(m.states)
-            for _, sub in _unions(m, blocks):
-                out &= self.truth_set(sub, f.body, depth + 1)
-                if not out:
-                    break
-            return frozenset(out)
-        raise TypeError(f"not a core formula: {f!r}")
 
 
 def _guarded(call, *args):

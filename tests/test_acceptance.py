@@ -46,7 +46,6 @@ from helpers import (
     naive_bisim,
     random_formula,
     random_model,
-    random_quantifier_free,
     random_update,
     shallow_quantifier_free,
     single_quantifier_formula,

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from aaul import (
+    And,
     ArbBox,
     ArbDiamond,
     Atom,
-    BOT,
     Box,
     Budget,
     BudgetExceededError,
+    Clause,
     DEFAULT_BUDGET,
     Diamond,
     KripkeModel,
@@ -18,6 +19,7 @@ from aaul import (
     TOP,
     UnknownAgentError,
     UnknownStateError,
+    Update,
     UpdateBox,
     arrow_blocks,
     brute_force_arb_oracle,
@@ -31,7 +33,7 @@ from aaul import (
     update_model,
     witness_update,
 )
-from aaul.checker import _unions
+from aaul.checker import _unions, core_checker, core_formula
 from helpers import (
     naive_apply,
     naive_arb_models,
@@ -231,10 +233,17 @@ def test_quantifiers_allowed_inside_user_update_clauses():
     assert brute_force_arb_oracle(m, "w", f)
 
 
-def _nested_nots(n):
-    f = Atom("p")
+def _nested_nots(n, leaf=Atom("p")):
+    f = leaf
     for _ in range(n):
         f = Not(f)
+    return f
+
+
+def _nested_diamonds(n):
+    f = Atom("p")
+    for _ in range(n):
+        f = Diamond("a", f)
     return f
 
 
@@ -247,15 +256,44 @@ def _nested_nots(n):
     ],
     ids=["truth_set", "satisfies", "witness_update"],
 )
-@pytest.mark.parametrize("nots", [3000, 600], ids=["desugar", "evaluator"])
-def test_formula_too_deep_for_the_stack_is_a_budget_refusal(call, nots):
+@pytest.mark.parametrize(
+    "formula",
+    [lambda: _nested_nots(3000), lambda: _nested_diamonds(400)],
+    ids=["desugar", "evaluator"],
+)
+def test_formula_too_deep_for_the_stack_is_a_budget_refusal(call, formula):
     # built through the API, so no parser stands in front, and under a
-    # recursion budget past the interpreter's stack: 3000 levels overflow it
-    # in desugar, 600 only in the evaluator
+    # recursion budget past the interpreter's stack: 3000 nested ~ overflow
+    # it in desugar; 400 nested <a> desugar, each to three core levels
+    # ~[a]~, and overflow it only in the evaluator
     m = load_model("states: w\nagent a: w->w\n")
     with pytest.raises(BudgetExceededError) as exc:
-        call(m, _nested_nots(nots), Budget(max_recursion_depth=10**6))
+        call(m, formula(), Budget(max_recursion_depth=10**6))
     assert exc.value.kind == "recursion"
+
+
+@pytest.mark.parametrize("leaf", [Atom("p"), TOP], ids=["atom", "true"])
+@pytest.mark.parametrize(
+    "wrap, levels",
+    [
+        (lambda g: g, 0),
+        (lambda g: Box("a", g), 1),
+        (lambda g: ArbBox(g), 1),
+        (lambda g: UpdateBox(Update((Clause(g, "a", TOP),)), TOP), 1),
+    ],
+    ids=["bare", "box", "arb", "clause"],
+)
+def test_recursion_budget_counts_leaves(leaf, wrap, levels):
+    # a leaf under k ~ sits at depth k + levels: it decides with exactly
+    # that much budget and is refused with one level less, so leaves are
+    # depth-checked like every other node
+    m = load_model("states: w v\nagent a: w->v v->w\nval p: w\n")
+    for k in range(2, 6):
+        f = wrap(_nested_nots(k, leaf))
+        with pytest.raises(BudgetExceededError) as exc:
+            truth_set(m, f, Budget(max_recursion_depth=k + levels - 1))
+        assert exc.value.kind == "recursion"
+        assert truth_set(m, f, Budget(max_recursion_depth=k + levels)) == truth_set(m, f)
 
 
 def test_long_conjunction_is_one_level_deep():
@@ -371,3 +409,30 @@ def test_arrows_only_memo_key_matches_naive_semantics():
                 assert (s in got) == (all(results) if box else any(results))
         checked += 1
     assert merged >= 100
+
+
+def test_one_check_switches_models():
+    # one check, asked about the root, some of its unions and an updated
+    # model in shuffled order, each model twice: every answer must come from
+    # the memo of the model it is asked about, and [U] switches models
+    # inside a call as well
+    rng = random.Random(89)
+    checked = 0
+    while checked < 40:
+        m = random_model(rng, max_states=3)
+        blocks = arrow_blocks(m, coarsest_partition(m))
+        if not 2 <= len(blocks) <= 8:
+            continue
+        u = random_update(rng)
+        subs = [sub for _, sub in _unions(m, blocks)]
+        visits = [m, *rng.sample(subs, 3), update_model(m, u)] * 2
+        rng.shuffle(visits)
+        after = UpdateBox(u, random_quantifier_free(rng, 1))
+        formulas = [random_quantifier_free(rng, 2) for _ in range(3)]
+        formulas += [after, And(random_quantifier_free(rng, 1), after)]
+        core = [core_formula(g) for g in formulas]
+        check = core_checker()
+        for model in visits:
+            for g, c in zip(formulas, core):
+                assert check(model, c) == {s for s in model.states if naive_eval(model, s, g)}
+        checked += 1

@@ -10,7 +10,6 @@ from aaul import (
     ArbDiamond,
     Atom,
     BOT,
-    Bot,
     Box,
     Clause,
     Diamond,
@@ -23,7 +22,6 @@ from aaul import (
     Top,
     Update,
     UpdateBox,
-    UpdateDiamond,
     conj,
     desugar,
     disj,

@@ -1,14 +1,10 @@
-import random
-
 import pytest
 
 from aaul import (
     AaulError,
-    And,
     ArbBox,
     Box,
     BudgetExceededError,
-    Budget,
     Implies,
     ModelFormatError,
     PeriodicTiling,
