@@ -53,7 +53,6 @@ from .syntax import (
     UpdateBox,
     UpdateDiamond,
     conj,
-    desugar,
     disj,
     flatten_conj,
     is_quantifier_free,

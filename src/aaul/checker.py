@@ -50,8 +50,6 @@ from .syntax import (
     Update,
     UpdateBox,
     UpdateDiamond,
-    desugar,
-    desugar_update,
     flatten_conj,
     parse_update,
     print_formula,
@@ -169,24 +167,34 @@ def _checked_blocks(m: KripkeModel, budget: Budget) -> tuple[Partition, tuple[Ar
 
 
 class _Evaluator:
-    """Truth-set evaluation of core formulas, one `truth_set` frame per node,
-    dispatched on the node's type.
+    """Truth-set evaluation of formulas as parsed, one `truth_set` frame per
+    node, dispatched on the node's type.
+
+    Every node kind has its own branch, so a formula costs one recursion
+    level per node as written: <a>g takes the pre-image of g's truth set,
+    -> and <-> are set algebra, and a right-nested & or | chain is one
+    n-ary node whose operands sit one level below it. Every operand is
+    evaluated, in order, with no short-circuit. <U>g is [U]g, since an
+    update is deterministic. <*>g walks the unions in the order [*] does,
+    behind the same cap, and stops once g holds somewhere on every state,
+    exactly where ~[*]~g would stop.
 
     One evaluator serves one `core_checker`. Every model it sees is the root
     or a union or update derived from it, with the root's states, valuation
     and point: so the state set is built once, and truth sets are memoized
     by the per-agent arrow tuple, then id(node), in one dict per model that
     is reused while the same model object comes back. No id is recycled: the
-    caller holds the desugared tree while the evaluator lives. Leaves (Atom,
-    Top) skip the memo, each And chain is flattened once, and equal truth
-    sets are interned: the memo holds one frozenset per distinct set.
+    caller holds the formula while the evaluator lives, and a subtree shared
+    between places shares their memo entries. Leaves (Atom, Top, Bot) skip
+    the memo, each chain is flattened once, and equal truth sets are
+    interned: the memo holds one frozenset per distinct set.
     """
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.memos: dict = {}
         self.interned: dict = {}
-        self.conjuncts: dict = {}
+        self.chains: dict = {}
         self.model = self.memo = self.states = None
 
     def truth_set(self, m: KripkeModel, f: Formula, depth: int) -> frozenset[str]:
@@ -198,6 +206,8 @@ class _Evaluator:
         kind = type(f)
         if kind is Atom:
             return m.valuation.get(f.name, frozenset())  # undeclared propositions are false everywhere
+        if kind is Bot:
+            return frozenset()
         if m is not self.model:
             self.states = self.states or frozenset(m.states)  # a model has at least one state
             self.model, self.memo = m, self.memos.setdefault(m._fingerprint[3], {})
@@ -209,14 +219,22 @@ class _Evaluator:
             return out
         if kind is Not:
             out = states - self.truth_set(m, f.body, depth + 1)
-        elif kind is And:
-            # a right-nested chain is one n-ary node: each conjunct at depth + 1
-            parts = self.conjuncts.get(id(f)) or self.conjuncts.setdefault(id(f), flatten_conj(f))
-            out = frozenset.intersection(*[self.truth_set(m, g, depth + 1) for g in parts])
+        elif kind is And or kind is Or:
+            # a right-nested chain is one n-ary node: each operand at depth + 1
+            parts = self.chains.get(id(f)) or self.chains.setdefault(id(f), flatten_conj(f, kind))
+            sets = [self.truth_set(m, g, depth + 1) for g in parts]
+            out = frozenset.intersection(*sets) if kind is And else frozenset.union(*sets)
+        elif kind is Implies or kind is Iff:
+            left = self.truth_set(m, f.left, depth + 1)
+            right = self.truth_set(m, f.right, depth + 1)
+            out = (states - left) | right if kind is Implies else states - (left ^ right)
         elif kind is Box:
             body = self.truth_set(m, f.body, depth + 1)
             out = states - {s for s, t in m.arrow_set(f.agent) if t not in body}
-        elif kind is UpdateBox:
+        elif kind is Diamond:
+            body = self.truth_set(m, f.body, depth + 1)
+            out = frozenset(s for s, t in m.arrow_set(f.agent) if t in body)
+        elif kind is UpdateBox or kind is UpdateDiamond:
             updated = apply_update(m, f.update, lambda g: self.truth_set(m, g, depth + 1))
             out = self.truth_set(updated, f.body, depth + 1)
         elif kind is ArbBox:
@@ -226,30 +244,31 @@ class _Evaluator:
                     out &= self.truth_set(sub, f.body, depth + 1)
                     if not out:
                         break
+        elif kind is ArbDiamond:
+            out = frozenset()
+            for _, sub in _unions(m, _checked_blocks(m, self.budget)[1]):
+                out |= self.truth_set(sub, f.body, depth + 1)
+                if len(out) == len(states):
+                    break
         else:
-            raise TypeError(f"not a core formula: {f!r}")
+            raise TypeError(f"not a formula: {f!r}")
         out = memo[id(f)] = self.interned.setdefault(out, out)
         return out
 
 
 def _guarded(call, *args):
     """call(*args), with a stack overflow turned into a budget refusal.
-    desugar and the evaluator recurse; the overflow is caught here, at the
-    kernel's entries, so evaluation pays nothing per node."""
+    The evaluator recurses; the overflow is caught here, at the kernel's
+    entries, so evaluation pays nothing per node."""
     try:
         return call(*args)
     except RecursionError:
         raise BudgetExceededError("formula nested too deeply", kind="recursion") from None
 
 
-def core_formula(f: Formula) -> Formula:
-    """f desugared to the core connectives `core_checker` evaluates."""
-    return _guarded(desugar, f)
-
-
 def core_checker(budget: Budget = DEFAULT_BUDGET):
-    """The kernel's one entry: check(m, f), the truth set in m of a core
-    formula f (see `core_formula`). The calls of one check share one fresh
+    """The kernel's one entry: check(m, f), the truth set in m of the
+    formula f. The calls of one check share one fresh
     evaluator, whose memo is keyed by arrows alone, so every model given to
     one check must share states, valuation and point with the first, as
     the unions and updates of one model do."""
@@ -259,7 +278,7 @@ def core_checker(budget: Budget = DEFAULT_BUDGET):
 
 def truth_set(m: KripkeModel, f: Formula, budget: Budget = DEFAULT_BUDGET) -> frozenset[str]:
     """The states of m where f holds."""
-    return core_checker(budget)(m, core_formula(f))
+    return core_checker(budget)(m, f)
 
 
 def satisfies(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -268,10 +287,9 @@ def satisfies(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFAULT_B
 
 
 def update_model(m: KripkeModel, u: Update, budget: Budget = DEFAULT_BUDGET) -> KripkeModel:
-    """m after the update u, the update desugared once and every clause
-    judged in m by one evaluator."""
+    """m after the update u, every clause judged in m by one evaluator."""
     check = core_checker(budget)
-    return apply_update(m, _guarded(desugar_update, u), lambda g: check(m, g))
+    return apply_update(m, u, lambda g: check(m, g))
 
 
 def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFAULT_BUDGET):
@@ -283,10 +301,9 @@ def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFA
         raise TypeError("witness_update expects a <*> formula")
     m.state_index(state)
     part, blocks = _checked_blocks(m, budget)
-    body = core_formula(f.body)
     check = core_checker(budget)
     for chosen, sub in _unions(m, blocks):
-        if state in check(sub, body):
+        if state in check(sub, f.body):
             return _materialize_update(m, part, blocks, chosen)
     return None
 

@@ -23,7 +23,7 @@ import math
 import sys
 
 from .bisim import coarsest_partition
-from .checker import Budget, DEFAULT_BUDGET, core_checker, core_formula, satisfies, update_model
+from .checker import Budget, DEFAULT_BUDGET, core_checker, satisfies, update_model
 from .errors import AaulError
 from .kripke import KripkeModel, export_dot, load_model, save_model
 from .syntax import (
@@ -226,7 +226,7 @@ def _sat_search(args, out) -> int:
     if args.max_states < 1:
         raise AaulError("--max-states must be at least 1")
     budget = _budget(args)
-    conjuncts = tuple(map(core_formula, _conjunct_order(f)))
+    conjuncts = _conjunct_order(f)
 
     seen = 0
     for n in range(1, args.max_states + 1):
@@ -328,7 +328,7 @@ def _conjunct_order(f) -> tuple:
 
 def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | None:
     """The first model with n states, in candidate order, that satisfies
-    every one of the core formulas `conjuncts` at s0, among those in
+    every one of the formulas `conjuncts` at s0, among those in
     canonical form; None if there is none.
 
     A candidate is a tuple of n-bit valuation masks, one per proposition,
@@ -352,10 +352,11 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
     smaller recursion depth. So a conjunct exceeds a budget only where f
     does: the search refuses only on a candidate whose checked conjuncts
     reach one over budget, never where checking f whole decides. The
-    conjuncts of one candidate share one evaluator. Each was desugared on
-    its own, so they share no node but leaves, whose truth sets take no
-    recursion: every verdict and every refusal is the one a fresh
-    evaluator per conjunct gives.
+    conjuncts of one candidate share one evaluator. They are disjoint
+    subtrees of one parse and share only the `true`/`false` singletons,
+    which skip the memo: so no memo entry passes between them, and every
+    verdict and every refusal is the one a fresh evaluator per conjunct
+    gives.
     """
     states = tuple(f"s{i}" for i in range(n))
     # validated once per size, so a bad --agents or --props name is reported

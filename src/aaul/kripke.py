@@ -223,7 +223,8 @@ def save_model(m: KripkeModel) -> str:
 
 
 def export_dot(m: KripkeModel) -> str:
-    """Graphviz digraph: one node per state (point doubled), one edge per arrow."""
+    """Graphviz digraph: one node per state (point doubled), one edge per arrow.
+    Every ID is quoted, so a state named `node`, `edge` or `1a` is a node."""
     index = m.state_index
     lines = ["digraph model {"]
     for s in m.states:
@@ -232,10 +233,10 @@ def export_dot(m: KripkeModel) -> str:
         if props:
             label += "\\n" + " ".join(props)
         shape = "doublecircle" if s == m.point else "circle"
-        lines.append(f'  {s} [label="{label}", shape={shape}];')
+        lines.append(f'  "{s}" [label="{label}", shape={shape}];')
     for a in m.agents:
         pairs = sorted(m.arrows[a], key=lambda st: (index(st[0]), index(st[1])))
         for s, t in pairs:
-            lines.append(f'  {s} -> {t} [label="{a}"];')
+            lines.append(f'  "{s}" -> "{t}" [label="{a}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

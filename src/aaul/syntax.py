@@ -1,4 +1,4 @@
-"""Formula syntax: AST, parser, printer, and desugaring.
+"""Formula syntax: AST, parser, printer, and formula walks.
 
 The concrete grammar, in decreasing binding strength:
 
@@ -132,32 +132,32 @@ TOP = Top()
 BOT = Bot()
 
 
-def conj(parts) -> Formula:
-    """Right-fold a sequence into a conjunction; empty sequence gives true."""
+def _fold_right(node, parts, empty: Formula | None = None) -> Formula:
+    """parts[0] node (parts[1] node (... parts[-1])); empty for no parts."""
     parts = list(parts)
     if not parts:
-        return TOP
-    out = parts[-1]
-    for f in reversed(parts[:-1]):
-        out = And(f, out)
+        return empty
+    out = parts.pop()
+    while parts:
+        out = node(parts.pop(), out)
     return out
+
+
+def conj(parts) -> Formula:
+    """Right-fold a sequence into a conjunction; empty sequence gives true."""
+    return _fold_right(And, parts, TOP)
 
 
 def disj(parts) -> Formula:
     """Right-fold a sequence into a disjunction; empty sequence gives false."""
-    parts = list(parts)
-    if not parts:
-        return BOT
-    out = parts[-1]
-    for f in reversed(parts[:-1]):
-        out = Or(f, out)
-    return out
+    return _fold_right(Or, parts, BOT)
 
 
-def flatten_conj(f: Formula) -> tuple[Formula, ...]:
-    """Peel right-nested And nodes; inverse of conj on its output."""
+def flatten_conj(f: Formula, kind: type = And) -> tuple[Formula, ...]:
+    """Peel right-nested `kind` nodes, And unless given (Or, say); inverse
+    of conj (of disj for Or) on its output."""
     out = []
-    while isinstance(f, And):
+    while isinstance(f, kind):
         out.append(f.left)
         f = f.right
     out.append(f)
@@ -226,32 +226,25 @@ class _Parser:
     # precedence ladder, loosest first
 
     def formula(self) -> Formula:
-        left = self.imp()
-        if self.peek() == "IFF":
-            self.next()
-            return Iff(left, self.formula())
-        return left
+        return self.chain(self.imp, "IFF", Iff)
 
     def imp(self) -> Formula:
-        left = self.or_()
-        if self.peek() == "IMP":
-            self.next()
-            return Implies(left, self.imp())
-        return left
+        return self.chain(self.or_, "IMP", Implies)
 
     def or_(self) -> Formula:
-        left = self.and_()
-        if self.peek() == "PIPE":
-            self.next()
-            return Or(left, self.or_())
-        return left
+        return self.chain(self.and_, "PIPE", Or)
 
     def and_(self) -> Formula:
-        left = self.unary()
-        if self.peek() == "AMP":
+        return self.chain(self.unary, "AMP", And)
+
+    def chain(self, operand, op: str, node) -> Formula:
+        """operand (op operand)*, folded to the right in a loop, so a long
+        flat chain takes no nesting."""
+        parts = [operand()]
+        while self.peek() == op:
             self.next()
-            return And(left, self.and_())
-        return left
+            parts.append(operand())
+        return _fold_right(node, parts)
 
     def unary(self) -> Formula:
         kind, value, pos = self.next()
@@ -368,19 +361,21 @@ def _print(f: Formula, ctx: int) -> str:
     if isinstance(f, ArbDiamond):
         return "<*>" + _print(f.body, _PREC_UNARY)
     if isinstance(f, And):
-        return _print_binary(f.left, "&", f.right, _PREC_AND, ctx)
+        return _print_binary(f, "&", _PREC_AND, ctx)
     if isinstance(f, Or):
-        return _print_binary(f.left, "|", f.right, _PREC_OR, ctx)
+        return _print_binary(f, "|", _PREC_OR, ctx)
     if isinstance(f, Implies):
-        return _print_binary(f.left, "->", f.right, _PREC_IMP, ctx)
+        return _print_binary(f, "->", _PREC_IMP, ctx)
     if isinstance(f, Iff):
-        return _print_binary(f.left, "<->", f.right, _PREC_IFF, ctx)
+        return _print_binary(f, "<->", _PREC_IFF, ctx)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _print_binary(left: Formula, op: str, right: Formula, prec: int, ctx: int) -> str:
-    # right associative: the left child needs strictly tighter binding
-    text = f"{_print(left, prec + 1)} {op} {_print(right, prec)}"
+def _print_binary(f: Formula, op: str, prec: int, ctx: int) -> str:
+    # right associative: the same operator's right spine is printed as one
+    # flat chain, each operand but the last needing strictly tighter binding
+    *init, last = flatten_conj(f, type(f))
+    text = f" {op} ".join([*(_print(g, prec + 1) for g in init), _print(last, prec)])
     if prec < ctx:
         return f"({text})"
     return text
@@ -394,57 +389,6 @@ def print_update(u: Update) -> str:
 
 
 # ----------------------------------------------------------------- analysis
-
-def desugar(f: Formula) -> Formula:
-    """Rewrite to the core connectives: Atom, Top, Not, And, Box, UpdateBox, ArbBox.
-
-    <a>f becomes ~[a]~f, <U>f becomes ~[U]~f, <*>f becomes ~[*]~f, and the
-    remaining boolean connectives unfold into ~ and &; a right-nested chain
-    of | becomes one ~ over a right-nested chain of &. Update clauses are
-    desugared as well. The evaluator only ever sees core nodes.
-    """
-    if isinstance(f, (Atom, Top)):
-        return f
-    if isinstance(f, Bot):
-        return Not(TOP)
-    if isinstance(f, Not):
-        return Not(desugar(f.body))
-    if isinstance(f, And):
-        return And(desugar(f.left), desugar(f.right))
-    if isinstance(f, Or):
-        # a right-nested chain becomes one negated conjunction, a | b | c ->
-        # ~(~a & ~b & ~c), so the evaluator's n-ary And takes all operands
-        # at one level rather than three levels per operand
-        parts = []
-        while isinstance(f, Or):
-            parts.append(f.left)
-            f = f.right
-        parts.append(f)
-        return Not(conj([Not(desugar(g)) for g in parts]))
-    if isinstance(f, Implies):
-        return Not(And(desugar(f.left), Not(desugar(f.right))))
-    if isinstance(f, Iff):
-        left, right = desugar(f.left), desugar(f.right)
-        return And(Not(And(left, Not(right))), Not(And(right, Not(left))))
-    if isinstance(f, Box):
-        return Box(f.agent, desugar(f.body))
-    if isinstance(f, Diamond):
-        return Not(Box(f.agent, Not(desugar(f.body))))
-    if isinstance(f, UpdateBox):
-        return UpdateBox(desugar_update(f.update), desugar(f.body))
-    if isinstance(f, UpdateDiamond):
-        return Not(UpdateBox(desugar_update(f.update), Not(desugar(f.body))))
-    if isinstance(f, ArbBox):
-        return ArbBox(desugar(f.body))
-    if isinstance(f, ArbDiamond):
-        return Not(ArbBox(Not(desugar(f.body))))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def desugar_update(u: Update) -> Update:
-    """u with every clause formula desugared."""
-    return Update(tuple(Clause(desugar(c.pre), c.agent, desugar(c.post)) for c in u.clauses))
-
 
 def subformulas(f: Formula):
     """Every node of f, f first, update clause formulas included.

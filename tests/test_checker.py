@@ -8,19 +8,24 @@ from aaul import (
     ArbBox,
     ArbDiamond,
     Atom,
+    BOT,
     Box,
     Budget,
     BudgetExceededError,
     Clause,
     DEFAULT_BUDGET,
     Diamond,
+    Iff,
+    Implies,
     KripkeModel,
     Not,
+    Or,
     TOP,
     UnknownAgentError,
     UnknownStateError,
     Update,
     UpdateBox,
+    UpdateDiamond,
     arrow_blocks,
     brute_force_arb_oracle,
     coarsest_partition,
@@ -33,11 +38,13 @@ from aaul import (
     update_model,
     witness_update,
 )
-from aaul.checker import _unions, core_checker, core_formula
+from aaul import checker
+from aaul.checker import _unions, core_checker
 from helpers import (
     naive_apply,
     naive_arb_models,
     naive_eval,
+    random_leaf,
     random_model,
     random_quantifier_free,
     random_update,
@@ -256,16 +263,11 @@ def _nested_diamonds(n):
     ],
     ids=["truth_set", "satisfies", "witness_update"],
 )
-@pytest.mark.parametrize(
-    "formula",
-    [lambda: _nested_nots(3000), lambda: _nested_diamonds(400)],
-    ids=["desugar", "evaluator"],
-)
+@pytest.mark.parametrize("formula", [lambda: _nested_diamonds(3000)], ids=["evaluator"])
 def test_formula_too_deep_for_the_stack_is_a_budget_refusal(call, formula):
     # built through the API, so no parser stands in front, and under a
-    # recursion budget past the interpreter's stack: 3000 nested ~ overflow
-    # it in desugar; 400 nested <a> desugar, each to three core levels
-    # ~[a]~, and overflow it only in the evaluator
+    # recursion budget past the interpreter's stack: 3000 nested <a>, one
+    # evaluator frame each, overflow it
     m = load_model("states: w\nagent a: w->w\n")
     with pytest.raises(BudgetExceededError) as exc:
         call(m, formula(), Budget(max_recursion_depth=10**6))
@@ -303,7 +305,77 @@ def test_long_conjunction_is_one_level_deep():
     tight = Budget(max_recursion_depth=4)
     assert satisfies(m, "w", parse_formula("p & q & <a>p & p & q"), tight)
     with pytest.raises(BudgetExceededError):
-        satisfies(m, "w", parse_formula("p & <a><a>p"), tight)
+        satisfies(m, "w", parse_formula("p & <a><a><a><a>p"), tight)
+
+
+def _nested_formula(rng, depth):
+    """The full language with [*]/<*> at any depth, update clauses included."""
+    if depth <= 0:
+        return random_leaf(rng)
+    sub = lambda: _nested_formula(rng, depth - 1)
+    pick = rng.randrange(6)
+    if pick == 0:
+        return rng.choice((ArbBox, ArbDiamond))(sub())
+    if pick == 1:
+        u = Update((Clause(sub(), rng.choice("ab"), sub()),))
+        return rng.choice((UpdateBox, UpdateDiamond))(u, sub())
+    if pick == 2:
+        return rng.choice((Box, Diamond))(rng.choice("ab"), sub())
+    if pick == 3:
+        return Not(sub())
+    return rng.choice((And, Or, Implies, Iff))(sub(), sub())
+
+
+# each sugared node beside its definition, one level deep, over the same operands
+SUGAR_TWINS = [
+    ("diamond", lambda g, h, u: (Diamond("a", g), Not(Box("a", Not(g))))),
+    ("or", lambda g, h, u: (Or(g, h), Not(And(Not(g), Not(h))))),
+    ("implies", lambda g, h, u: (Implies(g, h), Not(And(g, Not(h))))),
+    ("iff", lambda g, h, u: (Iff(g, h), And(Not(And(g, Not(h))), Not(And(h, Not(g)))))),
+    ("update_diamond", lambda g, h, u: (UpdateDiamond(u, g), Not(UpdateBox(u, Not(g))))),
+    ("arb_diamond", lambda g, h, u: (ArbDiamond(g), Not(ArbBox(Not(g))))),
+    ("false", lambda g, h, u: (BOT, Not(TOP))),
+]
+
+
+def _outcome(m, f, budget):
+    try:
+        return truth_set(m, f, budget)
+    except BudgetExceededError as e:
+        assert e.kind == "arrow_blocks"
+        return str(e)
+
+
+@pytest.mark.parametrize("twins", [t for _, t in SUGAR_TWINS], ids=[n for n, _ in SUGAR_TWINS])
+def test_sugared_node_matches_its_definition(twins, monkeypatch):
+    # the same truth set or the same refusal, after the same number of
+    # unions drawn: the twins visit the operands, the unions and the early
+    # exits of [*] in the same order
+    drawn = []
+
+    def counted(m, blocks):
+        for item in _unions(m, blocks):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(checker, "_unions", counted)
+    rng = random.Random(97)
+    answers = refusals = 0
+    for _ in range(800):
+        m = random_model(rng, max_states=3)
+        g, h = _nested_formula(rng, 2), _nested_formula(rng, 2)
+        u = Update((Clause(_nested_formula(rng, 1), rng.choice("ab"), _nested_formula(rng, 1)),))
+        sugared, defined = twins(g, h, u)
+        for cap in (1, 2, 4, 8):
+            budget = Budget(max_arrow_blocks=cap, max_recursion_depth=200)
+            got = _outcome(m, sugared, budget)
+            unions = len(drawn)
+            assert got == _outcome(m, defined, budget)
+            assert len(drawn) == 2 * unions
+            drawn.clear()
+            answers += isinstance(got, frozenset)
+            refusals += isinstance(got, str)
+    assert answers >= 800 and (refusals >= 200 or sugared is BOT)
 
 
 def _validated_union(m, blocks, chosen):
@@ -430,9 +502,8 @@ def test_one_check_switches_models():
         after = UpdateBox(u, random_quantifier_free(rng, 1))
         formulas = [random_quantifier_free(rng, 2) for _ in range(3)]
         formulas += [after, And(random_quantifier_free(rng, 1), after)]
-        core = [core_formula(g) for g in formulas]
         check = core_checker()
         for model in visits:
-            for g, c in zip(formulas, core):
-                assert check(model, c) == {s for s in model.states if naive_eval(model, s, g)}
+            for g in formulas:
+                assert check(model, g) == {s for s in model.states if naive_eval(model, s, g)}
         checked += 1

@@ -91,13 +91,13 @@ def test_check_deep_formula_is_a_parse_error(model_file):
 
 def test_check_long_conjunction(model_file):
     # a flat conjunction is one level of the recursion budget, however long
-    code, out, _ = invoke(["check", model_file, " & ".join(["<a>p"] * 70)])
+    code, out, _ = invoke(["check", model_file, " & ".join(["<a>p"] * 2000)])
     assert (code, out) == (0, "true\n")
 
 
 @pytest.mark.parametrize("n", [30, 70])
 def test_check_long_disjunction(model_file, n):
-    # a | chain desugars to one negated flat conjunction, so it is as shallow
+    # a | chain is one n-ary node, like a & chain, so it is as shallow
     code, out, _ = invoke(["check", model_file, " | ".join(["[a]~p"] * (n - 1) + ["<a>p"])])
     assert (code, out) == (0, "true\n")
     code, out, _ = invoke(["check", model_file, " | ".join(["[a]~p"] * n)])
@@ -178,6 +178,18 @@ def test_encode_tiling_full(tiles_file):
     code, out, _ = invoke(["encode-tiling", tiles_file])
     assert code == 0
     assert parse_formula(out.strip()) == encode(parse_tiles(TILES))
+
+
+def test_encode_tiling_many_tiles():
+    # one_tile conjoins n(n-1)/2 + 1 parts, 1226 for 50 tiles: the flat chain
+    # is printed and parsed in a loop. The trees are compared through their
+    # text, since parse_formula(print_formula(f)) == f makes printing
+    # injective, and == on so deep a tree would overflow the stack
+    tiles = "".join(f"tile T{i} N=c{i} E=c{i} S=c{i} W=c{i}\n" for i in range(50))
+    code, out, err = invoke(["encode-tiling", "-"], tiles)
+    assert (code, err) == (0, "")
+    assert out == print_formula(encode(parse_tiles(tiles))) + "\n"
+    assert print_formula(parse_formula(out)) + "\n" == out
 
 
 def test_encode_tiling_conjunct(tiles_file):

@@ -1,11 +1,12 @@
-"""Every module of the package and of the tests uses each name it imports.
-The package's `__init__` is left out: its imports are its exports."""
+"""Every module of the package, the tests and the scripts uses each name it
+imports. The package's `__init__` is left out: its imports are its exports."""
 
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "aaul"
+SCRIPTS = TESTS.parent / "scripts"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,7 +28,7 @@ def test_unused_imports_are_found():
 
 def test_no_module_imports_a_name_it_never_uses():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    modules += sorted(TESTS.glob("*.py"))
-    assert modules
+    modules += sorted(TESTS.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    assert len({p.parent for p in modules}) == 3
     found = {p.name: unused for p in modules if (unused := unused_imports(p.read_text()))}
     assert found == {}

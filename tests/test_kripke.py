@@ -152,14 +152,29 @@ def test_export_dot_fixed():
     got = export_dot(wv_model())
     expected = (
         "digraph model {\n"
-        '  w [label="w", shape=doublecircle];\n'
-        '  v [label="v\\np", shape=circle];\n'
-        '  w -> v [label="a"];\n'
-        '  v -> v [label="a"];\n'
+        '  "w" [label="w", shape=doublecircle];\n'
+        '  "v" [label="v\\np", shape=circle];\n'
+        '  "w" -> "v" [label="a"];\n'
+        '  "v" -> "v" [label="a"];\n'
         "}\n"
     )
     assert got == expected
     assert got.count("->") == 2
+
+
+def test_export_dot_quotes_keywords_and_leading_digits():
+    # unquoted, `node [...]` would set default attributes and `edge -> 1a`
+    # would start from a keyword and end at an invalid ID
+    m = load_model("states: node edge 1a\nagent a: edge->1a node->node\npoint: node\n")
+    assert export_dot(m) == (
+        "digraph model {\n"
+        '  "node" [label="node", shape=doublecircle];\n'
+        '  "edge" [label="edge", shape=circle];\n'
+        '  "1a" [label="1a", shape=circle];\n'
+        '  "node" -> "node" [label="a"];\n'
+        '  "edge" -> "1a" [label="a"];\n'
+        "}\n"
+    )
 
 
 def test_fingerprint_tracks_equality():

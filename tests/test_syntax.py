@@ -19,11 +19,9 @@ from aaul import (
     Or,
     ParseError,
     TOP,
-    Top,
     Update,
     UpdateBox,
     conj,
-    desugar,
     disj,
     flatten_conj,
     is_quantifier_free,
@@ -195,44 +193,6 @@ def test_round_trip_hypothesis(f):
     assert parse_formula(print_formula(f)) == f
 
 
-def test_desugar_produces_core_only():
-    rng = random.Random(5)
-
-    def core_only(f):
-        if isinstance(f, (Atom, Top)):
-            return True
-        if isinstance(f, Not):
-            return core_only(f.body)
-        if isinstance(f, And):
-            return core_only(f.left) and core_only(f.right)
-        if isinstance(f, Box):
-            return core_only(f.body)
-        if isinstance(f, UpdateBox):
-            return all(core_only(c.pre) and core_only(c.post) for c in f.update.clauses) and core_only(f.body)
-        if isinstance(f, ArbBox):
-            return core_only(f.body)
-        return False
-
-    for _ in range(300):
-        f = random_ast(rng, rng.randint(0, 4))
-        assert core_only(desugar(f))
-
-
-def test_desugar_fixed_cases():
-    assert desugar(BOT) == Not(TOP)
-    assert desugar(Diamond("a", Atom("p"))) == Not(Box("a", Not(Atom("p"))))
-    assert desugar(ArbDiamond(TOP)) == Not(ArbBox(Not(TOP)))
-    p, q, r = Atom("p"), Atom("q"), Atom("r")
-    assert desugar(Or(p, q)) == Not(And(Not(p), Not(q)))
-    assert desugar(Or(p, Or(q, r))) == Not(And(Not(p), And(Not(q), Not(r))))
-    assert desugar(Or(Or(p, q), r)) == Not(And(Not(Not(And(Not(p), Not(q)))), Not(r)))
-    u = Update((Clause(Diamond("a", TOP), "b", BOT),))
-    d = desugar(UpdateBox(u, Atom("p")))
-    assert isinstance(d, UpdateBox)
-    assert d.update.clauses[0].pre == Not(Box("a", Not(TOP)))
-    assert d.update.clauses[0].post == Not(TOP)
-
-
 def test_conj_disj_flatten():
     p, q, r = Atom("p"), Atom("q"), Atom("r")
     assert conj([]) == TOP
@@ -241,6 +201,8 @@ def test_conj_disj_flatten():
     assert conj([p, q, r]) == And(p, And(q, r))
     assert flatten_conj(conj([p, q, r])) == (p, q, r)
     assert flatten_conj(p) == (p,)
+    assert flatten_conj(disj([p, q, r]), Or) == (p, q, r)
+    assert flatten_conj(disj([p, q, r])) == (disj([p, q, r]),)
 
 
 def test_signature():
@@ -265,6 +227,15 @@ def test_walker_takes_any_depth():
     assert signature(f) == ({"p"}, set())
     assert is_quantifier_free(f)
     assert not is_quantifier_free(And(f, ArbBox(TOP)))
+
+
+@pytest.mark.parametrize("op", ["&", "|", "->", "<->"])
+def test_long_flat_chain_parses_and_prints(op):
+    # a flat chain is read and written in a loop; it nests only as a tree
+    text = f" {op} ".join(f"p{i}" for i in range(3000))
+    f = parse_formula(text)
+    assert print_formula(f) == text
+    assert flatten_conj(f, type(f)) == tuple(Atom(f"p{i}") for i in range(3000))
 
 
 def test_print_formula_too_deep_is_a_package_error():
