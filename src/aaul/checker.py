@@ -17,6 +17,14 @@ order itself is kept because it is observable: it decides where [*] stops
 early, which nested refusal is reached first, and which update
 `witness_update` returns.
 
+Many unions look alike to a body: one that reads only the agents a and b
+cannot tell apart two unions with the same a- and b-arrows. So [*], <*>
+and `witness_update` evaluate their body only on the unions whose arrows
+for the agents it reads differ from every earlier union's
+(`_distinct_unions`, which gives the soundness argument). Every union is
+still walked in order, so each skipped one repeats a truth set already
+taken, and the answer, the early exit and every refusal stay the same.
+
 `brute_force_arb_oracle` answers the same question along a deliberately
 different path for differential testing: per-state recursion with no
 memoization and no early exits, its own recursive enumeration, and each
@@ -53,6 +61,7 @@ from .syntax import (
     flatten_conj,
     parse_update,
     print_formula,
+    subformulas,
 )
 
 
@@ -102,6 +111,65 @@ def _unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...]):
             i += 1
         else:
             return
+
+
+def _read_agents(body: Formula) -> set[str] | None:
+    """The agents whose arrows body reads: those of every [c]/<c> and every
+    update clause in it, clause formulas included (`signature(body)[1]`,
+    found in the one walk that looks for a quantifier). None, for every
+    agent, when body holds a [*] or <*>: its range comes from the
+    partition, which depends on every agent's arrows."""
+    agents = set()
+    for g in subformulas(body):
+        kind = type(g)
+        if kind is ArbBox or kind is ArbDiamond:
+            return None
+        if kind is Box or kind is Diamond:
+            agents.add(g.agent)
+        elif kind is UpdateBox or kind is UpdateDiamond:
+            agents.update(c.agent for c in g.update.clauses)
+    return agents
+
+
+def _distinct_unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...], reads):
+    """The items of `_unions(m, blocks)` whose arrows for the agents in
+    reads() differ from those of every earlier item; reads() is the body's
+    `_read_agents`, asked for once, at the second union.
+
+    Soundness, for a [*]/<*> body g. Every union has the root's states and
+    valuation, so a quantifier-free g's truth set in it depends only on the
+    arrows of the agents g reads: [c]g and <c>g read c's arrows, and [U]g
+    reads those of U's clause agents through U's clause formulas, while
+    every agent with no clause in U loses all its arrows. A union whose
+    arrows for those agents repeat an earlier union's therefore gives the
+    same set, along the same evaluation path, so the same refusal, if any,
+    was met on the earlier one. Intersecting or uniting a set a second
+    time changes nothing, so [*] and <*> give the same answer, stop at the
+    same point and refuse the same way; and a repeated union is never the
+    first to satisfy g, so `witness_update` returns the same update. A
+    nested [*]/<*> in g ranges over the unions of its submodel's arrow
+    blocks, which come from a partition that every agent's arrows shape,
+    so such a g reads every agent and no union is skipped.
+
+    Every union is still drawn from `_unions`, in its order; only the
+    body's evaluation is skipped.
+    """
+    unions = _unions(m, blocks)
+    first = next(unions)
+    yield first
+    if not blocks:
+        return
+    read = reads()
+    agents = m.agents if read is None else tuple(a for a in m.agents if a in read)
+    if len(agents) == len(m.agents):
+        yield from unions  # every union differs on some agent's arrows
+        return
+    seen = {tuple(map(first[1].arrows.__getitem__, agents))}
+    for chosen, sub in unions:
+        key = tuple(map(sub.arrows.__getitem__, agents))
+        if key not in seen:
+            seen.add(key)
+            yield chosen, sub
 
 
 def _materialize_update(
@@ -177,7 +245,8 @@ class _Evaluator:
     evaluated, in order, with no short-circuit. <U>g is [U]g, since an
     update is deterministic. <*>g walks the unions in the order [*] does,
     behind the same cap, and stops once g holds somewhere on every state,
-    exactly where ~[*]~g would stop.
+    exactly where ~[*]~g would stop. Both evaluate g only on the unions
+    `_distinct_unions` keeps, with g's read agents found once per node.
 
     One evaluator serves one `core_checker`. Every model it sees is the root
     or a union or update derived from it, with the root's states, valuation
@@ -195,7 +264,15 @@ class _Evaluator:
         self.memos: dict = {}
         self.interned: dict = {}
         self.chains: dict = {}
+        self.read: dict = {}
         self.model = self.memo = self.states = None
+
+    def reads(self, f: Formula) -> set[str] | None:
+        """`_read_agents` of a [*]/<*> node's body, once per node."""
+        key = id(f)
+        if key not in self.read:
+            self.read[key] = _read_agents(f.body)
+        return self.read[key]
 
     def truth_set(self, m: KripkeModel, f: Formula, depth: int) -> frozenset[str]:
         if depth > self.budget.max_recursion_depth:
@@ -237,19 +314,18 @@ class _Evaluator:
         elif kind is UpdateBox or kind is UpdateDiamond:
             updated = apply_update(m, f.update, lambda g: self.truth_set(m, g, depth + 1))
             out = self.truth_set(updated, f.body, depth + 1)
-        elif kind is ArbBox:
-            out = states
-            if type(f.body) is not Top:
-                for _, sub in _unions(m, _checked_blocks(m, self.budget)[1]):
-                    out &= self.truth_set(sub, f.body, depth + 1)
-                    if not out:
+        elif kind is ArbBox or kind is ArbDiamond:
+            # [*] intersects the unions' sets and stops once none is left;
+            # <*> unites them and stops once every state is in
+            box = kind is ArbBox
+            out = states if box else frozenset()
+            if not (box and type(f.body) is Top):
+                unions = _distinct_unions(m, _checked_blocks(m, self.budget)[1], lambda: self.reads(f))
+                for _, sub in unions:
+                    got = self.truth_set(sub, f.body, depth + 1)
+                    out = out & got if box else out | got
+                    if len(out) == (0 if box else len(states)):
                         break
-        elif kind is ArbDiamond:
-            out = frozenset()
-            for _, sub in _unions(m, _checked_blocks(m, self.budget)[1]):
-                out |= self.truth_set(sub, f.body, depth + 1)
-                if len(out) == len(states):
-                    break
         else:
             raise TypeError(f"not a formula: {f!r}")
         out = memo[id(f)] = self.interned.setdefault(out, out)
@@ -302,7 +378,7 @@ def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFA
     m.state_index(state)
     part, blocks = _checked_blocks(m, budget)
     check = core_checker(budget)
-    for chosen, sub in _unions(m, blocks):
+    for chosen, sub in _distinct_unions(m, blocks, lambda: _read_agents(f.body)):
         if state in check(sub, f.body):
             return _materialize_update(m, part, blocks, chosen)
     return None

@@ -21,62 +21,97 @@ from .errors import AaulError, ParseError
 
 
 class Formula:
-    """Base class; all nodes are frozen dataclasses and hash/compare structurally."""
+    """Base class; all nodes are frozen dataclasses and hash/compare structurally.
+
+    == and hash walk the tree with an explicit stack, update clauses
+    included, so trees of any depth compare and hash.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if f is g:
+                continue
+            (f_data, f_kids), (g_data, g_kids) = _parts(f), _parts(g)
+            if f_data != g_data:
+                return False
+            stack += zip(f_kids, g_kids)  # equal data: same kind, same number of children
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        done: list[int] = []  # the hashes of finished nodes, in walk order
+        stack = [(self, False)]
+        while stack:
+            f, kids_done = stack.pop()
+            data, kids = _parts(f)
+            if kids_done:
+                start = len(done) - len(kids)
+                done[start:] = [hash((data, *done[start:]))]
+            else:
+                stack.append((f, True))
+                stack += ((g, False) for g in reversed(kids))
+        return done[0]
+
+
+_formula = dataclass(frozen=True, eq=False)  # == and hash come from Formula
+
+
+@_formula
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_formula
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_formula
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_formula
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class Box(Formula):
     agent: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class Diamond(Formula):
     agent: str
     body: Formula
@@ -102,26 +137,26 @@ class Update:
             raise ValueError("an update needs at least one clause")
 
 
-@dataclass(frozen=True)
+@_formula
 class UpdateBox(Formula):
     update: Update
     body: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class UpdateDiamond(Formula):
     update: Update
     body: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class ArbBox(Formula):
     """Body holds after every update built from quantifier-free clauses."""
 
     body: Formula
 
 
-@dataclass(frozen=True)
+@_formula
 class ArbDiamond(Formula):
     """Body holds after some update built from quantifier-free clauses."""
 
@@ -130,6 +165,25 @@ class ArbDiamond(Formula):
 
 TOP = Top()
 BOT = Bot()
+
+
+def _parts(f: Formula) -> tuple[tuple, tuple[Formula, ...]]:
+    """(f's own data, f's child formulas), for == and hash: equal data
+    means the same node kind with the same number of children."""
+    kind = type(f)
+    if kind is Atom:
+        return (kind, f.name), ()
+    if kind is Box or kind is Diamond:
+        return (kind, f.agent), (f.body,)
+    if kind is UpdateBox or kind is UpdateDiamond:
+        clauses = f.update.clauses
+        kids = tuple(g for c in clauses for g in (c.pre, c.post))
+        return (kind, *(c.agent for c in clauses)), (*kids, f.body)
+    if kind is Not or kind is ArbBox or kind is ArbDiamond:
+        return (kind,), (f.body,)
+    if kind is Top or kind is Bot:
+        return (kind,), ()
+    return (kind,), (f.left, f.right)
 
 
 def _fold_right(node, parts, empty: Formula | None = None) -> Formula:

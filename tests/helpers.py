@@ -4,8 +4,9 @@ Everything here is deliberately independent of the production code paths it
 is used to judge: naive_bisim iterates a greatest fixpoint instead of
 refining a partition, naive_eval/naive_apply recurse over states
 directly instead of computing truth sets, naive_arb_models lists the
-range of [*] from naive_bisim, and naive_sat_search tries every
-relabelling on every candidate model and checks the whole formula on it.
+range of [*] from naive_bisim for naive_eval to try in full, and
+naive_sat_search tries every relabelling on every candidate model and
+checks the whole formula on it.
 """
 
 from __future__ import annotations
@@ -252,7 +253,8 @@ def naive_apply(m: KripkeModel, update: Update) -> KripkeModel:
 
 
 def naive_eval(m: KripkeModel, w: str, f: Formula) -> bool:
-    """Direct recursive semantics for the quantifier-free language."""
+    """Direct recursive semantics for the whole language: [*] and <*> try
+    every model of naive_arb_models, with no early exit."""
     if isinstance(f, Atom):
         return w in m.valuation.get(f.name, frozenset())
     if isinstance(f, Top):
@@ -277,6 +279,10 @@ def naive_eval(m: KripkeModel, w: str, f: Formula) -> bool:
         return naive_eval(naive_apply(m, f.update), w, f.body)
     if isinstance(f, UpdateDiamond):
         return naive_eval(naive_apply(m, f.update), w, f.body)
+    if isinstance(f, ArbBox):
+        return all([naive_eval(sub, w, f.body) for sub in naive_arb_models(m)])
+    if isinstance(f, ArbDiamond):
+        return any([naive_eval(sub, w, f.body) for sub in naive_arb_models(m)])
     raise TypeError(f"naive_eval cannot handle {f!r}")
 
 

@@ -308,19 +308,21 @@ def test_long_conjunction_is_one_level_deep():
         satisfies(m, "w", parse_formula("p & <a><a><a><a>p"), tight)
 
 
-def _nested_formula(rng, depth):
-    """The full language with [*]/<*> at any depth, update clauses included."""
+def _nested_formula(rng, depth, agents="ab", clause_agents="ab", quantified=True):
+    """The full language with [*]/<*> at any depth, update clauses included:
+    modalities over `agents`, update clauses over `clause_agents`. With
+    quantified false, ~ takes the place of [*]/<*>."""
     if depth <= 0:
         return random_leaf(rng)
-    sub = lambda: _nested_formula(rng, depth - 1)
+    sub = lambda: _nested_formula(rng, depth - 1, agents, clause_agents, quantified)
     pick = rng.randrange(6)
     if pick == 0:
-        return rng.choice((ArbBox, ArbDiamond))(sub())
+        return rng.choice((ArbBox, ArbDiamond))(sub()) if quantified else Not(sub())
     if pick == 1:
-        u = Update((Clause(sub(), rng.choice("ab"), sub()),))
+        u = Update((Clause(sub(), rng.choice(clause_agents), sub()),))
         return rng.choice((UpdateBox, UpdateDiamond))(u, sub())
     if pick == 2:
-        return rng.choice((Box, Diamond))(rng.choice("ab"), sub())
+        return rng.choice((Box, Diamond))(rng.choice(agents), sub())
     if pick == 3:
         return Not(sub())
     return rng.choice((And, Or, Implies, Iff))(sub(), sub())
@@ -338,6 +340,26 @@ SUGAR_TWINS = [
 ]
 
 
+def _record(monkeypatch):
+    """Patch the checker to record each union it draws and each node it
+    evaluates, in two lists returned."""
+    drawn, evaluated = [], []
+    walk, evaluate = checker._unions, checker._Evaluator.truth_set
+
+    def counted(m, blocks):
+        for item in walk(m, blocks):
+            drawn.append(item)
+            yield item
+
+    def traced(self, m, g, depth):
+        evaluated.append(g)
+        return evaluate(self, m, g, depth)
+
+    monkeypatch.setattr(checker, "_unions", counted)
+    monkeypatch.setattr(checker._Evaluator, "truth_set", traced)
+    return drawn, evaluated
+
+
 def _outcome(m, f, budget):
     try:
         return truth_set(m, f, budget)
@@ -351,14 +373,7 @@ def test_sugared_node_matches_its_definition(twins, monkeypatch):
     # the same truth set or the same refusal, after the same number of
     # unions drawn: the twins visit the operands, the unions and the early
     # exits of [*] in the same order
-    drawn = []
-
-    def counted(m, blocks):
-        for item in _unions(m, blocks):
-            drawn.append(item)
-            yield item
-
-    monkeypatch.setattr(checker, "_unions", counted)
+    drawn, _ = _record(monkeypatch)
     rng = random.Random(97)
     answers = refusals = 0
     for _ in range(800):
@@ -507,3 +522,99 @@ def test_one_check_switches_models():
             for g in formulas:
                 assert check(model, g) == {s for s in model.states if naive_eval(model, s, g)}
         checked += 1
+
+
+def _answer(call, *args):
+    """call(*args), or the kind and message of the budget refusal it raises."""
+    try:
+        return call(*args)
+    except BudgetExceededError as e:
+        return e.kind, str(e)
+
+
+def _modal(rng, agents):
+    return rng.choice((Box, Diamond))(rng.choice(agents), random_leaf(rng))
+
+
+def test_skipped_unions_change_no_outcome(monkeypatch):
+    # [*]/<*> evaluate their body once per distinct set of arrows of the
+    # agents it reads. Forcing that set to every agent skips nothing: both
+    # runs must give the same truth sets, refusals and witnesses after the
+    # same unions drawn, and every answer must match naive_eval. Updates
+    # also name an agent the model does not declare (z).
+    drawn, calls = _record(monkeypatch)
+    skipping = checker._read_agents
+    budgets = [Budget(max_arrow_blocks=cap, max_recursion_depth=200) for cap in (1, 2, 4, 8)]
+    budgets.append(Budget(max_arrow_blocks=8, max_recursion_depth=4))
+    rng = random.Random(101)
+    answers = refusals = naive_checked = skipped = 0
+    for _ in range(400):
+        agents = ("a", "b", "c")[: rng.randint(2, 3)]
+        m = random_model(rng, max_states=3, agents=agents, density=0.2)
+        named = agents + ("z",)
+        if rng.random() < 0.5:
+            f = _nested_formula(rng, 3, agents, named)
+        else:
+            # a quantifier-free body whose modalities name a alone, under an
+            # update whose clause formulas may read the other agents
+            u = Update(tuple(
+                Clause(_modal(rng, agents), c, _modal(rng, agents)) for c in ("a", rng.choice(named))
+            ))
+            g = rng.choice((Box, Diamond))("a", _nested_formula(rng, 1, "a", named, False))
+            f = rng.choice((ArbBox, ArbDiamond))(rng.choice((UpdateBox, UpdateDiamond))(u, g))
+        for budget in budgets:
+            runs = []
+            for read in (skipping, lambda body: None):
+                monkeypatch.setattr(checker, "_read_agents", read)
+                got = _answer(truth_set, m, f, budget)
+                witness = _answer(witness_update, m, m.point, ArbDiamond(f), budget)
+                runs.append((got, witness, len(drawn), len(calls)))
+                drawn.clear()
+                calls.clear()
+            assert runs[0][:3] == runs[1][:3] and runs[0][3] <= runs[1][3]
+            skipped += runs[0][3] < runs[1][3]
+            got = runs[0][0]
+            answers += isinstance(got, frozenset)
+            refusals += not isinstance(got, frozenset)
+            if isinstance(got, frozenset) and sum(map(len, m.arrows.values())) <= 5 and budget is budgets[-2]:
+                assert got == {s for s in m.states if naive_eval(m, s, f)}
+                naive_checked += 1
+    assert answers >= 1400 and refusals >= 300 and naive_checked >= 300 and skipped >= 120
+
+
+# Each read-set rule the skip depends on, on a model where breaking it skips a
+# union that decides the answer
+READ_SET_CASES = [
+    # the clause formula reads b: unions differing only in b's arrow must
+    # both be evaluated, though the body's modalities name a alone
+    ("states: s t\nagent a: s->t\nagent b: s->t\nval p: t\nval q: t\npoint: s\n",
+     "<*>[{(<b>p,a,true)}]<a>q", {"s"}),
+    # the nested <*> splits r's a-successors only where the c-loop keeps s
+    # and t apart, though no modality names c
+    ("states: r s t x\nagent a: r->s r->t s->x t->x\nagent c: s->s\nval p: x\npoint: r\n",
+     "<*>([a]<a>p & <*>(<a><a>p & <a>[a]~p))", {"r"}),
+]
+
+
+@pytest.mark.parametrize("model, text, expected", READ_SET_CASES)
+def test_read_set_rules(model, text, expected):
+    m, f = load_model(model), parse_formula(text)
+    assert truth_set(m, f) == expected
+    assert {s for s in m.states if naive_eval(m, s, f)} == expected
+
+
+def test_quantifier_evaluates_body_once_per_read_arrow_set(monkeypatch):
+    # one a-block and three b-blocks: each walks all 16 unions, but its
+    # body reads only a's arrows, which the unions set in 2 ways
+    m = load_model(
+        "states: s0 s1 s2\nagent a: s0->s1\nagent b: s0->s1 s1->s2 s2->s0\n"
+        "val p0: s0\nval p1: s1\nval p2: s2\n"
+    )
+    assert len(arrow_blocks(m, coarsest_partition(m))) == 4
+    drawn, evaluated = _record(monkeypatch)
+    for text, expected in (("<*><a>p1", {"s0"}), ("[*]~<a>p1", {"s1", "s2"})):
+        f = parse_formula(text)
+        assert truth_set(m, f) == expected
+        assert (len(drawn), sum(g is f.body for g in evaluated)) == (16, 2)
+        drawn.clear()
+        evaluated.clear()

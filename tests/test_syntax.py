@@ -23,9 +23,11 @@ from aaul import (
     UpdateBox,
     conj,
     disj,
+    encode,
     flatten_conj,
     is_quantifier_free,
     parse_formula,
+    parse_tiles,
     parse_update,
     print_formula,
     print_update,
@@ -245,3 +247,59 @@ def test_print_formula_too_deep_is_a_package_error():
         f = Not(f)
     with pytest.raises(AaulError, match="nested too deeply"):
         print_formula(f)
+
+
+def _many_tiles(n):
+    return parse_tiles("".join(f"tile T{i} N=c{i} E=c{i} S=c{i} W=c{i}\n" for i in range(n)))
+
+
+def _nots(n, leaf):
+    f = leaf
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+def test_equality_and_hash_take_any_depth():
+    # one_tile for 50 tiles is a 1226-part chain, far deeper than the stack
+    # allows a recursive == or hash
+    f, g = encode(_many_tiles(50)), encode(_many_tiles(50))
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != encode(_many_tiles(49))
+    deep_p, deep_q = _nots(5000, Atom("p")), _nots(5000, Atom("q"))
+    assert deep_p == _nots(5000, Atom("p")) and deep_p != deep_q
+    assert len({deep_p, _nots(5000, Atom("p")), deep_q}) == 2
+    u = Update((Clause(deep_p, "a", TOP),))
+    assert UpdateBox(u, deep_q) == UpdateBox(Update((Clause(_nots(5000, Atom("p")), "a", TOP),)), deep_q)
+    assert UpdateBox(u, deep_q) != UpdateBox(Update((Clause(deep_q, "a", TOP),)), deep_q)
+
+
+UNEQUAL_TWINS = [
+    ("[a]p", "<a>p"), ("[a]p", "[b]p"), ("[*]p", "<*>p"), ("p & q", "p | q"),
+    ("p -> q", "q -> p"), ("p -> q", "p <-> q"), ("true", "false"), ("p", "~p"),
+    ("(p & q) & r", "p & q & r"), ("[{(p,a,q)}]r", "<{(p,a,q)}>r"),
+    ("[{(p,a,q)}]r", "[{(p,b,q)}]r"), ("[{(p,a,q)}]r", "[{(q,a,p)}]r"),
+    ("[{(p,a,q)}]r", "[{(p,a,q),(p,a,q)}]r"),
+]
+
+
+@pytest.mark.parametrize("left, right", UNEQUAL_TWINS)
+def test_equality_tells_kinds_and_fields_apart(left, right):
+    f, g = parse_formula(left), parse_formula(right)
+    assert f != g and not f == g
+    assert f == parse_formula(left) and hash(f) == hash(parse_formula(left))
+
+
+def test_equality_is_structural():
+    # printing is injective (parse_formula inverts it), so two trees are
+    # equal exactly when their texts are
+    rng = random.Random(109)
+    for _ in range(400):
+        f, g = random_ast(rng, 3), random_ast(rng, rng.choice((0, 1, 3)))
+        same = print_formula(f) == print_formula(g)
+        assert (f == g) == same and (f != g) != same
+        again = parse_formula(print_formula(f))
+        assert again == f and hash(again) == hash(f)
+    assert Atom("p") != "p" and TOP != BOT
+    assert Clause(Atom("p"), "a", TOP) == Clause(Atom("p"), "a", TOP)
+    assert len({Atom("p"), Atom("p"), TOP, TOP, BOT}) == 3

@@ -18,12 +18,14 @@ from aaul import (
     encode_parts,
     find_periodic_tiling,
     flatten_conj,
+    is_quantifier_free,
     parse_formula,
     parse_tiles,
     print_formula,
     refl,
     satisfies,
 )
+from aaul.syntax import ArbDiamond, subformulas
 from aaul.tiling import COMMUTE_PAIRS, DIRECTIONS
 
 ALTERNATING = "tile A N=g E=b S=g W=w\ntile B N=g E=w S=g W=b\n"
@@ -286,6 +288,32 @@ def test_quantified_conjuncts_exceed_default_budget_with_cell_props():
     parts = encode_parts(inst)
     with pytest.raises(BudgetExceededError):
         satisfies(m, "s0", parts.psi4["u"])
+
+
+# Every quantified conjunct without a nested [*]/<*> holds on the plain ALT
+# 2x2 torus (15 arrow blocks, 2^15 unions per quantifier). Each [*] body leaves
+# at least agent b unread, so it is evaluated on a fraction of the unions.
+UNNESTED_ON_PLAIN_TORUS = {
+    name: True
+    for name in (
+        "refl_a", "psi1", "psi2", *(f"psi{k}_{x}" for x in DIRECTIONS for k in (3, 4)),
+        "inverse", "commute",
+    )
+}
+
+
+def test_unnested_quantified_conjuncts_on_plain_torus():
+    inst = parse_tiles(ALTERNATING)
+    m = build_torus_model(inst, find_periodic_tiling(inst, 2))
+    named = encode_parts(inst).named()
+    unnested = {
+        name
+        for name, f in named.items()
+        if not is_quantifier_free(f)
+        and all(is_quantifier_free(g.body) for g in subformulas(f) if isinstance(g, (ArbBox, ArbDiamond)))
+    }
+    assert unnested == set(UNNESTED_ON_PLAIN_TORUS)
+    assert {name: satisfies(m, "s0", named[name]) for name in unnested} == UNNESTED_ON_PLAIN_TORUS
 
 
 def test_refl_other_agent():
