@@ -15,7 +15,7 @@ Agent names inside modalities use the same identifier syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import AaulError, ParseError
 
@@ -23,8 +23,8 @@ from .errors import AaulError, ParseError
 class Formula:
     """Base class; all nodes are frozen dataclasses and hash/compare structurally.
 
-    == and hash walk the tree with an explicit stack, update clauses
-    included, so trees of any depth compare and hash.
+    ==, hash and repr walk the tree with an explicit stack, update clauses
+    included, so trees of any depth compare, hash and print as repr.
     """
 
     __slots__ = ()
@@ -57,8 +57,33 @@ class Formula:
                 stack += ((g, False) for g in reversed(kids))
         return done[0]
 
+    def __repr__(self):
+        """The dataclass repr: Not(body=Atom(name='p')), and so on."""
+        out: list[str] = []
+        stack: list = [self]  # text still to write, or values still to spell out
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            if isinstance(item, tuple):  # an update's clauses
+                pieces = ["("]
+                for i, c in enumerate(item):
+                    pieces += [", " if i else "", c]
+                pieces.append(",)" if len(item) == 1 else ")")
+            else:  # a formula node, an update or a clause
+                pieces = [f"{type(item).__qualname__}("]
+                for i, fld in enumerate(fields(item)):
+                    value = getattr(item, fld.name)
+                    if isinstance(value, str):  # a name or an agent
+                        value = repr(value)
+                    pieces += [f"{', ' if i else ''}{fld.name}=", value]
+                pieces.append(")")
+            stack += reversed(pieces)
+        return "".join(out)
 
-_formula = dataclass(frozen=True, eq=False)  # == and hash come from Formula
+
+_formula = dataclass(frozen=True, eq=False, repr=False)  # ==, hash and repr come from Formula
 
 
 @_formula

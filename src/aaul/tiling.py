@@ -13,14 +13,23 @@ The propositional vocabulary is `p` on the origin, `p_<tile>` for the tile
 placed on a cell, and `N_<color>`, `S_<color>`, `E_<color>`, `W_<color>`
 for the side colors of the placed tile.
 
+`encode_parts(inst).named()` is the one table of the encoding's parts,
+name to formula: refl_a, then the 24 top-level conjuncts of the formula in
+order. Its quantifier-free entries are the four grid conjuncts (one_tile,
+one_color, tile_colors, tile_match), which `check_static_conjuncts`
+evaluates.
+
 `build_torus_model` realizes a period-k solution as a finite model: k*k
-cells with wrap-around direction arrows, plus the origin hub. On that model
-the four grid conjuncts (one_tile, one_color, tile_colors, tile_match) are
-checkable directly. The quantified conjuncts decide under the default
-budget on the 1x1 torus (8 arrow blocks) and on the plain 2x2 torus (15
-blocks), the nested ones (propd_*, return_*) slowly. With one private
-proposition per cell (`cell_props`) the 2x2 torus has 29 arrow blocks, and
-the default budget refuses them.
+cells with wrap-around direction arrows, plus the origin hub. The grid
+geometry is `STEPS`, and `_meets` is the one side-matching rule that the
+tiling check and the solver share. The quantified conjuncts decide under
+the default budget on the 1x1 torus (8 arrow blocks) and on the plain 2x2
+torus (15 blocks), the nested ones (propd_*, return_*) slowly. On the 1x1
+torus of a self-matching tile every part holds except return_u/d/l/r:
+there each direction's successor of the cell is the cell itself, so no
+update can unmark the cell while keeping its successor marked. With one
+private proposition per cell (`cell_props`) the 2x2 torus has 29 arrow
+blocks, and the default budget refuses them.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from .syntax import (
     UpdateBox,
     conj,
     disj,
+    is_quantifier_free,
 )
 
 PROBE = "a"
@@ -58,6 +68,9 @@ UP, DOWN, LEFT, RIGHT = "u", "d", "l", "r"
 DIRECTIONS = (UP, DOWN, LEFT, RIGHT)
 ORIGIN_PROP = "p"
 SIDES = ("N", "S", "E", "W")
+
+# (column, row) offset of one step in each direction
+STEPS = {UP: (0, 1), DOWN: (0, -1), LEFT: (-1, 0), RIGHT: (1, 0)}
 
 # ordered direction pairs whose composed steps must commute
 COMMUTE_PAIRS = (
@@ -86,6 +99,8 @@ class TileInstance:
     types: tuple[TileType, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "colors", tuple(self.colors))
+        object.__setattr__(self, "types", tuple(self.types))
         if not self.types:
             raise ValueError("a tile instance needs at least one tile type")
         if len(set(self.colors)) != len(self.colors):
@@ -123,15 +138,24 @@ class PeriodicTiling:
     def satisfies_constraints(self) -> bool:
         """Every north side meets the south side above it, every east side
         meets the west side to the right, with wrap-around."""
-        k = self.period
-        for n in range(k):
-            for m in range(k):
-                here = self.grid[(n, m)]
-                if here.north != self.grid[(n, (m + 1) % k)].south:
-                    return False
-                if here.east != self.grid[((n + 1) % k, m)].west:
-                    return False
-        return True
+        return all(_meets(self.grid, self.period, n, m) for n, m in self.grid)
+
+
+def _step(pos: tuple[int, int], x: str, k: int) -> tuple[int, int]:
+    """The cell one step in direction x from pos on the k*k torus."""
+    (n, m), (dn, dm) = pos, STEPS[x]
+    return (n + dn) % k, (m + dm) % k
+
+
+def _meets(grid: Mapping[tuple[int, int], TileType], k: int, n: int, m: int) -> bool:
+    """The tile at (n, m) matches whichever of the tiles above it and to its
+    right are placed, with wrap-around."""
+    here = grid[(n, m)]
+    above = grid.get(_step((n, m), UP, k))
+    right = grid.get(_step((n, m), RIGHT, k))
+    return (above is None or here.north == above.south) and (
+        right is None or here.east == right.west
+    )
 
 
 def parse_tiles(text: str) -> TileInstance:
@@ -146,7 +170,7 @@ def parse_tiles(text: str) -> TileInstance:
     declared_colors: list[str] | None = None
     types: list[TileType] = []
     seen_names: set[str] = set()
-    used_colors: list[str] = []
+    used_colors: dict[str, int] = {}  # color -> line of its first use
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -182,23 +206,25 @@ def parse_tiles(text: str) -> TileInstance:
                     raise ModelFormatError(f"duplicate side {key}", lineno)
                 if not _NAME_OK.match(color):
                     raise ModelFormatError(f"bad color name {color!r}", lineno)
-                if declared_colors is not None and color not in declared_colors:
-                    raise ModelFormatError(f"unknown color {color!r}", lineno)
                 sides[key] = color
             missing = [s for s in SIDES if s not in sides]
             if missing:
                 raise ModelFormatError(f"missing side {missing[0]}", lineno)
             for side in SIDES:
-                if sides[side] not in used_colors:
-                    used_colors.append(sides[side])
+                used_colors.setdefault(sides[side], lineno)
             types.append(TileType(name, sides["N"], sides["S"], sides["E"], sides["W"]))
         else:
             raise ModelFormatError(f"unknown declaration {tokens[0]!r}", lineno)
 
     if not types:
         raise ModelFormatError("no tiles declared", max(1, text.count("\n") + 1))
-    colors = tuple(declared_colors) if declared_colors is not None else tuple(used_colors)
-    return TileInstance(colors, types)
+    if declared_colors is None:
+        return TileInstance(tuple(used_colors), types)
+    # checked here, not per tile, so tiles above the colors line are covered
+    for color, lineno in used_colors.items():
+        if color not in declared_colors:
+            raise ModelFormatError(f"unknown color {color!r}", lineno)
+    return TileInstance(declared_colors, types)
 
 
 # ------------------------------------------------------------------ encoder
@@ -227,66 +253,46 @@ def _side_atom(side: str, color: str) -> Atom:
 
 @dataclass(frozen=True)
 class TilingEncoding:
-    """The full formula for an instance plus all of its named pieces."""
+    """The full formula for an instance, the table of its named parts and
+    the updates the propd parts use.
 
-    instance: TileInstance
-    refl_a: Formula
-    psi1: Formula
-    psi2: Formula
-    psi3: Mapping[str, Formula]
-    psi4: Mapping[str, Formula]
-    propd: Mapping[str, Formula]
-    return_: Mapping[str, Formula]
+    `parts` holds refl_a first, then the 24 top-level conjuncts of
+    `formula` in their order.
+    """
+
+    parts: Mapping[str, Formula]
     updates: Mapping[str, Update]
-    inverse: Formula
-    commute: Formula
-    one_tile: Formula
-    one_color: Formula
-    tile_colors: Formula
-    tile_match: Formula
-    conjuncts: tuple[Formula, ...]
     formula: Formula
 
     def named(self) -> dict[str, Formula]:
-        out = {"refl_a": self.refl_a, "psi1": self.psi1, "psi2": self.psi2}
-        for x in DIRECTIONS:
-            out[f"psi3_{x}"] = self.psi3[x]
-            out[f"psi4_{x}"] = self.psi4[x]
-            out[f"propd_{x}"] = self.propd[x]
-            out[f"return_{x}"] = self.return_[x]
-        out["inverse"] = self.inverse
-        out["commute"] = self.commute
-        out["one_tile"] = self.one_tile
-        out["one_color"] = self.one_color
-        out["tile_colors"] = self.tile_colors
-        out["tile_match"] = self.tile_match
-        return out
+        return dict(self.parts)
+
+    @property
+    def conjuncts(self) -> tuple[Formula, ...]:
+        return tuple(f for name, f in self.parts.items() if name != "refl_a")
 
 
 def encode_parts(inst: TileInstance) -> TilingEncoding:
     p = Atom(ORIGIN_PROP)
     refl_a = refl(PROBE)
+    parts: dict[str, Formula] = {}  # the conjuncts, in order
+    updates: dict[str, Update] = {}
 
-    psi1 = conj([refl_a, p, Diamond(HUB, TOP), Box(HUB, Not(p))])
-    psi2 = And(
+    parts["psi1"] = conj([refl_a, p, Diamond(HUB, TOP), Box(HUB, Not(p))])
+    parts["psi2"] = And(
         Box(HUB, And(refl_a, Diamond(HUB, p))),
         ArbBox(Implies(_DIA_A_TOP, Box(HUB, Box(HUB, _DIA_A_TOP)))),
     )
 
-    psi3 = {}
-    psi4 = {}
-    propd = {}
-    return_ = {}
-    updates = {}
     for x in DIRECTIONS:
-        psi3[x] = Box(
+        parts[f"psi3_{x}"] = Box(
             HUB,
             And(
                 Diamond(x, conj([Not(p), refl_a, Diamond(HUB, p)])),
                 ArbBox(Implies(Diamond(x, _DIA_A_TOP), Box(x, _DIA_A_TOP))),
             ),
         )
-        psi4[x] = ArbBox(Implies(_DIA_A_TOP, Box(HUB, Box(x, Box(HUB, _DIA_A_TOP)))))
+        parts[f"psi4_{x}"] = ArbBox(Implies(_DIA_A_TOP, Box(HUB, Box(x, Box(HUB, _DIA_A_TOP)))))
         updates[x] = Update((
             Clause(Or(p, _BOX_A_BOT), HUB, TOP),
             Clause(TOP, PROBE, TOP),
@@ -297,7 +303,7 @@ def encode_parts(inst: TileInstance) -> TilingEncoding:
             Diamond(x, _DIA_A_TOP),
             Diamond(HUB, Diamond(HUB, _BOX_A_BOT)),
         )
-        propd[x] = Box(
+        parts[f"propd_{x}"] = Box(
             HUB,
             ArbBox(
                 Implies(
@@ -311,7 +317,7 @@ def encode_parts(inst: TileInstance) -> TilingEncoding:
                 )
             ),
         )
-        return_[x] = Box(
+        parts[f"return_{x}"] = Box(
             HUB,
             ArbDiamond(
                 conj([
@@ -329,7 +335,7 @@ def encode_parts(inst: TileInstance) -> TilingEncoding:
             ),
         )
 
-    inverse = Box(
+    parts["inverse"] = Box(
         HUB,
         ArbBox(
             Implies(
@@ -343,7 +349,7 @@ def encode_parts(inst: TileInstance) -> TilingEncoding:
             )
         ),
     )
-    commute = Box(
+    parts["commute"] = Box(
         HUB,
         ArbBox(
             conj([
@@ -354,7 +360,7 @@ def encode_parts(inst: TileInstance) -> TilingEncoding:
     )
 
     tile_atoms = [_tile_atom(t) for t in inst.types]
-    one_tile = Box(
+    parts["one_tile"] = Box(
         HUB,
         conj(
             [disj(tile_atoms)]
@@ -365,7 +371,7 @@ def encode_parts(inst: TileInstance) -> TilingEncoding:
             ]
         ),
     )
-    one_color = conj([
+    parts["one_color"] = conj([
         Box(
             HUB,
             conj([
@@ -378,7 +384,7 @@ def encode_parts(inst: TileInstance) -> TilingEncoding:
         )
         for side in SIDES
     ])
-    tile_colors = Box(
+    parts["tile_colors"] = Box(
         HUB,
         conj([
             Implies(
@@ -388,7 +394,7 @@ def encode_parts(inst: TileInstance) -> TilingEncoding:
             for t in inst.types
         ]),
     )
-    tile_match = Box(
+    parts["tile_match"] = Box(
         HUB,
         conj([
             And(
@@ -399,30 +405,7 @@ def encode_parts(inst: TileInstance) -> TilingEncoding:
         ]),
     )
 
-    conjuncts = (psi1, psi2)
-    for x in DIRECTIONS:
-        conjuncts += (psi3[x], psi4[x], propd[x], return_[x])
-    conjuncts += (inverse, commute, one_tile, one_color, tile_colors, tile_match)
-
-    return TilingEncoding(
-        instance=inst,
-        refl_a=refl_a,
-        psi1=psi1,
-        psi2=psi2,
-        psi3=psi3,
-        psi4=psi4,
-        propd=propd,
-        return_=return_,
-        updates=updates,
-        inverse=inverse,
-        commute=commute,
-        one_tile=one_tile,
-        one_color=one_color,
-        tile_colors=tile_colors,
-        tile_match=tile_match,
-        conjuncts=conjuncts,
-        formula=conj(conjuncts),
-    )
+    return TilingEncoding({"refl_a": refl_a, **parts}, updates, conj(parts.values()))
 
 
 def encode(inst: TileInstance) -> Formula:
@@ -442,31 +425,18 @@ def find_periodic_tiling(inst: TileInstance, period: int) -> PeriodicTiling | No
     cells = [(i % k, i // k) for i in range(k * k)]
     grid: dict[tuple[int, int], TileType] = {}
 
-    def fits(n: int, m: int, t: TileType) -> bool:
-        if n > 0 and grid[(n - 1, m)].east != t.west:
-            return False
-        if n == k - 1:
-            west_of_wrap = t.west if k == 1 else grid[(0, m)].west
-            if t.east != west_of_wrap:
-                return False
-        if m > 0 and grid[(n, m - 1)].north != t.south:
-            return False
-        if m == k - 1:
-            south_of_wrap = t.south if k == 1 else grid[(n, 0)].south
-            if t.north != south_of_wrap:
-                return False
-        return True
-
     def place(i: int) -> bool:
         if i == len(cells):
             return True
-        n, m = cells[i]
+        pos = cells[i]
+        # _meets looks up and right, so the new tile's sides are checked
+        # from its own cell and from the cells left of and below it
+        around = (pos, _step(pos, LEFT, k), _step(pos, DOWN, k))
         for t in inst.types:
-            if fits(n, m, t):
-                grid[(n, m)] = t
-                if place(i + 1):
-                    return True
-                del grid[(n, m)]
+            grid[pos] = t
+            if all(_meets(grid, k, *c) for c in around if c in grid) and place(i + 1):
+                return True
+            del grid[pos]
         return False
 
     if not place(0):
@@ -489,59 +459,47 @@ def build_torus_model(inst: TileInstance, tiling: PeriodicTiling, cell_props: bo
     """
     k = tiling.period
     cell = {(n, m): f"c{n}_{m}" for n in range(k) for m in range(k)}
-    cell_list = [cell[(n, m)] for n in range(k) for m in range(k)]
-    states = ("s0", *cell_list)
+    states = ("s0", *cell.values())
 
-    arrows: dict[str, set] = {a: set() for a in (PROBE, HUB, *DIRECTIONS)}
-    arrows[PROBE] = {(s, s) for s in states}
-    for c in cell_list:
-        arrows[HUB].add(("s0", c))
-        arrows[HUB].add((c, "s0"))
-    for n in range(k):
-        for m in range(k):
-            arrows[UP].add((cell[(n, m)], cell[(n, (m + 1) % k)]))
-            arrows[DOWN].add((cell[(n, m)], cell[(n, (m - 1) % k)]))
-            arrows[LEFT].add((cell[(n, m)], cell[((n - 1) % k, m)]))
-            arrows[RIGHT].add((cell[(n, m)], cell[((n + 1) % k, m)]))
+    arrows = {
+        PROBE: {(s, s) for s in states},
+        HUB: {(s, t) for c in cell.values() for s, t in (("s0", c), (c, "s0"))},
+    }
+    for x in DIRECTIONS:
+        arrows[x] = {(cell[pos], cell[_step(pos, x, k)]) for pos in cell}
 
-    props = [ORIGIN_PROP]
-    valuation: dict[str, set] = {ORIGIN_PROP: {"s0"}}
+    valuation = {ORIGIN_PROP: {"s0"}}
     for t in inst.types:
-        name = f"p_{t.name}"
-        props.append(name)
-        valuation[name] = {cell[pos] for pos, placed in tiling.grid.items() if placed == t}
+        valuation[f"p_{t.name}"] = {cell[pos] for pos, placed in tiling.grid.items() if placed == t}
     for side in SIDES:
         for c in inst.colors:
-            name = f"{side}_{c}"
-            props.append(name)
-            valuation[name] = {
+            valuation[f"{side}_{c}"] = {
                 cell[pos] for pos, placed in tiling.grid.items() if placed.side(side) == c
             }
     if cell_props:
-        for n in range(k):
-            for m in range(k):
-                name = f"cell_{n}_{m}"
-                props.append(name)
-                valuation[name] = {cell[(n, m)]}
+        for (n, m), c in cell.items():
+            valuation[f"cell_{n}_{m}"] = {c}
 
     return KripkeModel(
         states=states,
         agents=(PROBE, HUB, *DIRECTIONS),
-        props=tuple(props),
+        props=tuple(valuation),
         arrows=arrows,
         valuation=valuation,
         point="s0",
     )
 
 
-STATIC_CONJUNCTS = ("one_tile", "one_color", "tile_colors", "tile_match")
-
-
 def check_static_conjuncts(
     m: KripkeModel, inst: TileInstance, budget: Budget = DEFAULT_BUDGET
 ) -> dict[str, bool]:
-    """Evaluate the four quantifier-free grid conjuncts at the model's point."""
+    """Evaluate the quantifier-free named parts (the four grid conjuncts)
+    at the model's point, in table order."""
     if m.point is None:
         raise AaulError("model has no designated point")
     parts = encode_parts(inst).named()
-    return {name: satisfies(m, m.point, parts[name], budget) for name in STATIC_CONJUNCTS}
+    return {
+        name: satisfies(m, m.point, f, budget)
+        for name, f in parts.items()
+        if is_quantifier_free(f)
+    }

@@ -333,7 +333,7 @@ def test_criterion_8_encoder_fidelity(capsys, tmp_path):
         assert len(parts.conjuncts) == 24
         assert flatten_conj(parts.formula) == parts.conjuncts
 
-        commute_imps = flatten_conj(parts.commute.body.body)
+        commute_imps = flatten_conj(parts.named()["commute"].body.body)
         assert len(commute_imps) == 8
         assert [(i.left.agent, i.left.body.agent) for i in commute_imps] == list(COMMUTE_PAIRS)
 
@@ -377,12 +377,12 @@ def test_criterion_9_documented_substitution(capsys):
         m = build_torus_model(inst, tiling, cell_props=True)
         blocks = arrow_blocks(m, coarsest_partition(m))
         assert len(blocks) == 29
-        parts = encode_parts(inst)
+        named = encode_parts(inst).named()
         with pytest.raises(BudgetExceededError) as exc:
-            satisfies(m, "s0", parts.psi4["u"])
+            satisfies(m, "s0", named["psi4_u"])
         assert exc.value.kind == "arrow_blocks"
         # quantifier-free conjuncts remain in reach on the same model
-        assert satisfies(m, "s0", parts.one_tile)
+        assert satisfies(m, "s0", named["one_tile"])
         with capsys.disabled():
             print(
                 "criterion 9 note: full quantified-conjunct checking is"

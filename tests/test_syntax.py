@@ -274,6 +274,25 @@ def test_equality_and_hash_take_any_depth():
     assert UpdateBox(u, deep_q) != UpdateBox(Update((Clause(deep_q, "a", TOP),)), deep_q)
 
 
+
+def test_repr_takes_any_depth():
+    # the text of the dataclass repr, update clauses included
+    assert repr(parse_formula("[{(p,a,~q),(true,b,q)}]<a>r & [*]false")) == (
+        "And(left=UpdateBox(update=Update(clauses=("
+        "Clause(pre=Atom(name='p'), agent='a', post=Not(body=Atom(name='q'))), "
+        "Clause(pre=Top(), agent='b', post=Atom(name='q')))), "
+        "body=Diamond(agent='a', body=Atom(name='r'))), right=ArbBox(body=Bot()))"
+    )
+    assert repr(parse_formula("<{(p,a,q)}>r")) == (
+        "UpdateDiamond(update=Update(clauses=(Clause(pre=Atom(name='p'), agent='a', "
+        "post=Atom(name='q')),)), body=Atom(name='r'))"
+    )
+    assert repr(_nots(5000, Atom("p"))) == "Not(body=" * 5000 + "Atom(name='p')" + ")" * 5000
+    deep_update = UpdateBox(Update((Clause(_nots(5000, Atom("p")), "a", TOP),)), TOP)
+    assert repr(deep_update).count("Not(body=") == 5000
+    text = repr(encode(_many_tiles(50)))
+    assert text.startswith("And(left=") and "Atom(name='p_T49')" in text
+
 UNEQUAL_TWINS = [
     ("[a]p", "<a>p"), ("[a]p", "[b]p"), ("[*]p", "<*>p"), ("p & q", "p | q"),
     ("p -> q", "q -> p"), ("p -> q", "p <-> q"), ("true", "false"), ("p", "~p"),

@@ -69,12 +69,22 @@ def test_parse_tiles_colors_line():
         ("tile T N=a! E=a S=a W=a\n", "bad color name"),
         ("colors: a\ncolors: a\ntile T N=a E=a S=a W=a\n", "duplicate colors line"),
         ("junk\n", "unknown declaration"),
+        # a tile above the colors line is held to it too, reported at the tile
+        ("tile T N=x E=x S=x W=x\ncolors: y\n", "line 1: unknown color 'x'"),
     ],
 )
 def test_parse_tiles_errors(text, fragment):
     with pytest.raises(ModelFormatError) as exc:
         parse_tiles(text)
     assert fragment in str(exc.value)
+
+
+def test_instance_is_hashable_and_equal_to_its_tuple_twin():
+    parsed = parse_tiles(ALTERNATING)
+    built = TileInstance(parsed.colors, tuple(parsed.types))
+    assert isinstance(parsed.types, tuple)
+    assert parsed == built and hash(parsed) == hash(built)
+    assert TileInstance(list(parsed.colors), list(parsed.types)) == built
 
 
 def test_instance_validation():
@@ -149,20 +159,21 @@ def test_encoder_round_trips():
 def test_encoder_structure_spot_checks():
     inst = parse_tiles(ALTERNATING)
     parts = encode_parts(inst)
+    named = parts.named()
 
-    assert parts.refl_a == parse_formula("<a><a>true & [*]~<a>[a]false")
-    assert print_formula(parts.psi1) == (
+    assert named["refl_a"] == parse_formula("<a><a>true & [*]~<a>[a]false")
+    assert print_formula(named["psi1"]) == (
         "(<a><a>true & [*]~<a>[a]false) & p & <b>true & [b]~p"
     )
-    assert flatten_conj(parts.psi1) == (
-        parts.refl_a,
+    assert flatten_conj(named["psi1"]) == (
+        named["refl_a"],
         parse_formula("p"),
         parse_formula("<b>true"),
         parse_formula("[b]~p"),
     )
 
     # commute: one implication per ordered direction pair, in the fixed order
-    body = parts.commute
+    body = named["commute"]
     assert isinstance(body, Box) and body.agent == "b"
     inner = body.body
     assert isinstance(inner, ArbBox)
@@ -176,12 +187,12 @@ def test_encoder_structure_spot_checks():
     for x in DIRECTIONS:
         u = parts.updates[x]
         assert [c.agent for c in u.clauses] == ["b", "a", x]
-        assert print_formula(parts.psi4[x]) == (
+        assert print_formula(named[f"psi4_{x}"]) == (
             f"[*](<a>true -> [b][{x}][b]<a>true)"
         )
 
     # one_tile for two tile types: a disjunction plus one exclusion
-    one_tile = parts.one_tile
+    one_tile = named["one_tile"]
     assert isinstance(one_tile, Box) and one_tile.agent == "b"
     pieces = flatten_conj(one_tile.body)
     assert len(pieces) == 2
@@ -285,9 +296,9 @@ def test_quantified_conjuncts_exceed_default_budget_with_cell_props():
     m = build_torus_model(inst, tiling, cell_props=True)
     blocks = arrow_blocks(m, coarsest_partition(m))
     assert len(blocks) == 29
-    parts = encode_parts(inst)
+    named = encode_parts(inst).named()
     with pytest.raises(BudgetExceededError):
-        satisfies(m, "s0", parts.psi4["u"])
+        satisfies(m, "s0", named["psi4_u"])
 
 
 # Every quantified conjunct without a nested [*]/<*> holds on the plain ALT
@@ -314,6 +325,26 @@ def test_unnested_quantified_conjuncts_on_plain_torus():
     }
     assert unnested == set(UNNESTED_ON_PLAIN_TORUS)
     assert {name: satisfies(m, "s0", named[name]) for name in unnested} == UNNESTED_ON_PLAIN_TORUS
+
+
+# On the 1x1 self-tiling torus every named part holds but return_u/d/l/r.
+# There each direction's successor of the cell is the cell itself, so no
+# quantifier-free update can unmark the cell (take its a-loop) while keeping
+# its successor marked, which is what return_x asks for.
+ON_SELF_TILING_TORUS = {
+    "refl_a": True, "psi1": True, "psi2": True,
+    **{f"{part}_{x}": part != "return" for x in DIRECTIONS for part in ("psi3", "psi4", "propd", "return")},
+    "inverse": True, "commute": True,
+    "one_tile": True, "one_color": True, "tile_colors": True, "tile_match": True,
+}
+
+
+def test_all_named_parts_on_self_tiling_torus():
+    inst = parse_tiles(SELF_TILING)
+    m = build_torus_model(inst, find_periodic_tiling(inst, 1))
+    named = encode_parts(inst).named()
+    assert list(named) == list(ON_SELF_TILING_TORUS)
+    assert {name: satisfies(m, "s0", f) for name, f in named.items()} == ON_SELF_TILING_TORUS
 
 
 def test_refl_other_agent():
