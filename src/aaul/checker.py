@@ -23,7 +23,9 @@ and `witness_update` evaluate their body only on the unions whose arrows
 for the agents it reads differ from every earlier union's
 (`_distinct_unions`, which gives the soundness argument). Every union is
 still walked in order, so each skipped one repeats a truth set already
-taken, and the answer, the early exit and every refusal stay the same.
+taken, and the answer, the early exit and every refusal stay the same. A
+body with a nested [*]/<*> reads every agent, unless the model is
+valuation-discrete (no two states agree on every proposition).
 
 `brute_force_arb_oracle` answers the same question along a deliberately
 different path for differential testing: per-state recursion with no
@@ -113,18 +115,25 @@ def _unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...]):
             return
 
 
-def _read_agents(body: Formula) -> set[str] | None:
+def _valuation_discrete(m: KripkeModel) -> bool:
+    """No two states of m agree on every proposition."""
+    return len({tuple(s in m.valuation[p] for p in m.props) for s in m.states}) == len(m.states)
+
+
+def _read_agents(body: Formula, discrete) -> set[str] | None:
     """The agents whose arrows body reads: those of every [c]/<c> and every
     update clause in it, clause formulas included (`signature(body)[1]`,
-    found in the one walk that looks for a quantifier). None, for every
-    agent, when body holds a [*] or <*>: its range comes from the
-    partition, which depends on every agent's arrows."""
+    found in the one walk that looks for a quantifier). A nested [*]/<*>
+    reads what its body reads when discrete(), asked only then, says the
+    quantified model is valuation-discrete (see `_distinct_unions`); else
+    the result is None, for every agent."""
     agents = set()
     for g in subformulas(body):
         kind = type(g)
         if kind is ArbBox or kind is ArbDiamond:
-            return None
-        if kind is Box or kind is Diamond:
+            if not discrete():
+                return None
+        elif kind is Box or kind is Diamond:
             agents.add(g.agent)
         elif kind is UpdateBox or kind is UpdateDiamond:
             agents.update(c.agent for c in g.update.clauses)
@@ -146,10 +155,20 @@ def _distinct_unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...], reads):
     was met on the earlier one. Intersecting or uniting a set a second
     time changes nothing, so [*] and <*> give the same answer, stop at the
     same point and refuse the same way; and a repeated union is never the
-    first to satisfy g, so `witness_update` returns the same update. A
-    nested [*]/<*> in g ranges over the unions of its submodel's arrow
-    blocks, which come from a partition that every agent's arrows shape,
-    so such a g reads every agent and no union is skipped.
+    first to satisfy g, so `witness_update` returns the same update.
+
+    A nested [*]/<*> in g ranges over the unions of its submodel's arrow
+    blocks, which come from a partition that every agent's arrows shape;
+    so such a g reads every agent, unless m is valuation-discrete. Then
+    (1) every state is its own partition block in every submodel, so each
+    arrow is its own block, the nested range at a union V is every subset
+    of V's arrows, and the nested truth set depends only on V's arrows for
+    the agents its body reads. (2) No nested block cap can refuse: every
+    model derived inside has a subset of m's arrows, and m's blocks, one
+    per arrow, passed the cap. (3) Two unions with equal read arrows have
+    the same read blocks in the same relative order, so their nested walks
+    evaluate the same distinct read sets in the same order, with the same
+    recursion refusals, early exits and witnesses.
 
     Every union is still drawn from `_unions`, in its order; only the
     body's evaluation is skipped.
@@ -265,14 +284,21 @@ class _Evaluator:
         self.interned: dict = {}
         self.chains: dict = {}
         self.read: dict = {}
-        self.model = self.memo = self.states = None
+        self.model = self.memo = self.states = self.discrete = None
 
-    def reads(self, f: Formula) -> set[str] | None:
-        """`_read_agents` of a [*]/<*> node's body, once per node."""
+    def reads(self, m: KripkeModel, f: Formula) -> set[str] | None:
+        """`_read_agents` of a [*]/<*> node's body, once per node. Every
+        model of one check has the root's valuation, so it is judged
+        valuation-discrete at most once, and only for a nested quantifier."""
         key = id(f)
         if key not in self.read:
-            self.read[key] = _read_agents(f.body)
+            self.read[key] = _read_agents(f.body, lambda: self.discreteness(m))
         return self.read[key]
+
+    def discreteness(self, m: KripkeModel) -> bool:
+        if self.discrete is None:
+            self.discrete = _valuation_discrete(m)
+        return self.discrete
 
     def truth_set(self, m: KripkeModel, f: Formula, depth: int) -> frozenset[str]:
         if depth > self.budget.max_recursion_depth:
@@ -320,7 +346,7 @@ class _Evaluator:
             box = kind is ArbBox
             out = states if box else frozenset()
             if not (box and type(f.body) is Top):
-                unions = _distinct_unions(m, _checked_blocks(m, self.budget)[1], lambda: self.reads(f))
+                unions = _distinct_unions(m, _checked_blocks(m, self.budget)[1], lambda: self.reads(m, f))
                 for _, sub in unions:
                     got = self.truth_set(sub, f.body, depth + 1)
                     out = out & got if box else out | got
@@ -378,7 +404,7 @@ def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFA
     m.state_index(state)
     part, blocks = _checked_blocks(m, budget)
     check = core_checker(budget)
-    for chosen, sub in _distinct_unions(m, blocks, lambda: _read_agents(f.body)):
+    for chosen, sub in _distinct_unions(m, blocks, lambda: _read_agents(f.body, lambda: _valuation_discrete(m))):
         if state in check(sub, f.body):
             return _materialize_update(m, part, blocks, chosen)
     return None

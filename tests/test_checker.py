@@ -28,10 +28,14 @@ from aaul import (
     UpdateDiamond,
     arrow_blocks,
     brute_force_arb_oracle,
+    build_torus_model,
     coarsest_partition,
+    encode_parts,
+    find_periodic_tiling,
     is_quantifier_free,
     load_model,
     parse_formula,
+    parse_tiles,
     print_update,
     satisfies,
     truth_set,
@@ -539,9 +543,12 @@ def _modal(rng, agents):
 def test_skipped_unions_change_no_outcome(monkeypatch):
     # [*]/<*> evaluate their body once per distinct set of arrows of the
     # agents it reads. Forcing that set to every agent skips nothing: both
-    # runs must give the same truth sets, refusals and witnesses after the
-    # same unions drawn, and every answer must match naive_eval. Updates
-    # also name an agent the model does not declare (z).
+    # runs must give the same truth sets, refusals and witnesses, and every
+    # answer must match naive_eval. Updates also name an agent the model
+    # does not declare (z). Both runs draw the same unions unless a nested
+    # walk can be skipped: on a valuation-discrete model, when f holds a
+    # quantifier (nested under the witness's <*>), the skipping run may draw
+    # fewer.
     drawn, calls = _record(monkeypatch)
     skipping = checker._read_agents
     budgets = [Budget(max_arrow_blocks=cap, max_recursion_depth=200) for cap in (1, 2, 4, 8)]
@@ -564,14 +571,18 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
             f = rng.choice((ArbBox, ArbDiamond))(rng.choice((UpdateBox, UpdateDiamond))(u, g))
         for budget in budgets:
             runs = []
-            for read in (skipping, lambda body: None):
+            for read in (skipping, lambda body, discrete: None):
                 monkeypatch.setattr(checker, "_read_agents", read)
                 got = _answer(truth_set, m, f, budget)
                 witness = _answer(witness_update, m, m.point, ArbDiamond(f), budget)
                 runs.append((got, witness, len(drawn), len(calls)))
                 drawn.clear()
                 calls.clear()
-            assert runs[0][:3] == runs[1][:3] and runs[0][3] <= runs[1][3]
+            assert runs[0][:2] == runs[1][:2] and runs[0][3] <= runs[1][3]
+            if checker._valuation_discrete(m) and not is_quantifier_free(f):
+                assert runs[0][2] <= runs[1][2]
+            else:
+                assert runs[0][2] == runs[1][2]
             skipped += runs[0][3] < runs[1][3]
             got = runs[0][0]
             answers += isinstance(got, frozenset)
@@ -580,6 +591,66 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
                 assert got == {s for s in m.states if naive_eval(m, s, f)}
                 naive_checked += 1
     assert answers >= 1400 and refusals >= 300 and naive_checked >= 300 and skipped >= 120
+
+
+def _discrete_model(rng, agents):
+    """2-3 states, each with its own valuation of p and q."""
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 3)))
+    labels = dict(zip(states, rng.sample(range(4), len(states))))
+    valuation = {p: {s for s in states if labels[s] >> i & 1} for i, p in enumerate(("p", "q"))}
+    arrows = {a: {(s, t) for s in states for t in states if rng.random() < 0.25} for a in agents}
+    return KripkeModel(states, agents, ("p", "q"), arrows, valuation, point=states[0])
+
+
+def _nested_body(rng, agents, named):
+    """A body holding a nested [*]/<*>, in a subformula or in an update
+    clause formula, whose modalities name only `agents`."""
+    inner = rng.choice((ArbBox, ArbDiamond))(_nested_formula(rng, 2, agents, named))
+    rest = _nested_formula(rng, 1, agents, named)
+    pick = rng.randrange(3)
+    if pick == 0:
+        return rng.choice((And, Or, Implies))(inner, rest)
+    if pick == 1:
+        u = Update((Clause(inner, rng.choice(agents), random_leaf(rng)), Clause(TOP, rng.choice(named), inner)))
+        return rng.choice((UpdateBox, UpdateDiamond))(u, rest)
+    return rng.choice((Box, Diamond))(rng.choice(agents), inner)
+
+
+def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
+    # On a valuation-discrete model a body with a nested [*]/<*> reads only
+    # the agents of its modalities and update clauses. Forcing the read set
+    # to every agent must give the same truth sets, refusals and witnesses,
+    # and the answers must match naive_eval, which enumerates every range.
+    _, calls = _record(monkeypatch)
+    skipping = checker._read_agents
+    budgets = [Budget(max_arrow_blocks=cap, max_recursion_depth=200) for cap in (1, 2, 4, 8)]
+    budgets.append(Budget(max_arrow_blocks=8, max_recursion_depth=4))
+    rng = random.Random(131)
+    answers = refusals = naive_checked = fired = 0
+    for _ in range(150):
+        agents = ("a", "b", "c")[: rng.randint(2, 3)]
+        m = _discrete_model(rng, agents)
+        assert checker._valuation_discrete(m)
+        read = tuple(rng.sample(agents, rng.randint(1, len(agents) - 1)))
+        body = _nested_body(rng, read, read + ("z",))
+        f = rng.choice((ArbBox, ArbDiamond))(body)
+        for budget in budgets:
+            runs = []
+            for reads in (skipping, lambda body, discrete: None):
+                monkeypatch.setattr(checker, "_read_agents", reads)
+                got = _answer(truth_set, m, f, budget)
+                witness = _answer(witness_update, m, m.point, ArbDiamond(body), budget)
+                runs.append((got, witness, len(calls), sum(g is body for g in calls)))
+                calls.clear()
+            assert runs[0][:2] == runs[1][:2] and runs[0][2] <= runs[1][2] and runs[0][3] <= runs[1][3]
+            fired += runs[0][3] < runs[1][3]  # the outer walk skipped a body with a nested quantifier
+            got = runs[0][0]
+            answers += isinstance(got, frozenset)
+            refusals += not isinstance(got, frozenset)
+            if isinstance(got, frozenset) and sum(map(len, m.arrows.values())) <= 5 and budget is budgets[-2]:
+                assert got == {s for s in m.states if naive_eval(m, s, f)}
+                naive_checked += 1
+    assert answers >= 300 and refusals >= 300 and naive_checked >= 100 and fired >= 200
 
 
 # Each read-set rule the skip depends on, on a model where breaking it skips a
@@ -617,4 +688,21 @@ def test_quantifier_evaluates_body_once_per_read_arrow_set(monkeypatch):
         assert truth_set(m, f) == expected
         assert (len(drawn), sum(g is f.body for g in evaluated)) == (16, 2)
         drawn.clear()
+        evaluated.clear()
+
+
+def test_nested_tiling_conjuncts_walk_their_read_agents(monkeypatch):
+    # The 1x1 self-tiling torus is valuation-discrete, with 8 arrow blocks:
+    # an a-loop on each state, b out and back, one loop per direction. The
+    # quantifier under propd_u's and return_u's [b] reads a, b and u, 5 of
+    # the blocks, so it evaluates its body on 32 of the 256 unions.
+    inst = parse_tiles("tile T N=c E=c S=c W=c\n")
+    m = build_torus_model(inst, find_periodic_tiling(inst, 1))
+    assert checker._valuation_discrete(m) and len(arrow_blocks(m, coarsest_partition(m))) == 8
+    named = encode_parts(inst).named()
+    _, evaluated = _record(monkeypatch)
+    for name, expected in (("propd_u", True), ("return_u", False)):
+        quantified = named[name].body
+        assert satisfies(m, "s0", named[name]) is expected
+        assert sum(g is quantified.body for g in evaluated) == 32
         evaluated.clear()

@@ -144,8 +144,9 @@ def test_encoder_conjunct_count_and_flatten():
         "psi3_r", "psi4_r", "propd_r", "return_r",
         "inverse", "commute", "one_tile", "one_color", "tile_colors", "tile_match",
     ]
-    ordered = [v for k, v in named.items() if k != "refl_a"]
-    assert tuple(ordered) == parts.conjuncts
+    # refl_a is the probe's reflexivity formula, and psi1 opens with it
+    assert named["refl_a"] == refl("a")
+    assert flatten_conj(named["psi1"])[0] is named["refl_a"]
 
 
 def test_encoder_round_trips():
