@@ -31,6 +31,7 @@ from .syntax import (
     UpdateDiamond,
     flatten_conj,
     is_quantifier_free,
+    local_depth,
     parse_formula,
     parse_update,
     print_formula,
@@ -345,26 +346,38 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
     A candidate satisfies f exactly when it satisfies each top-level
     conjunct, so the conjuncts are checked one at a time (cheap ones first,
     see `_conjunct_order`) and the first false one rejects the candidate.
-    The verdict per candidate, and so the model returned, is the same as
-    checking f whole. Checking f whole evaluates every conjunct in full,
-    and a conjunct alone is evaluated the same way (the checker memoizes
+    A conjunct alone is evaluated as it is within f (the checker memoizes
     per node, and conjuncts share no node that takes work), only at a
-    smaller recursion depth. So a conjunct exceeds a budget only where f
-    does: the search refuses only on a candidate whose checked conjuncts
-    reach one over budget, never where checking f whole decides. The
-    conjuncts of one candidate share one evaluator. They are disjoint
-    subtrees of one parse and share only the `true`/`false` singletons,
-    which skip the memo: so no memo entry passes between them, and every
-    verdict and every refusal is the one a fresh evaluator per conjunct
-    gives.
+    smaller recursion depth: so the search refuses only where checking f
+    whole does. The conjuncts of one candidate share one evaluator. They
+    are disjoint subtrees of one parse that share only the `true`/`false`
+    singletons, which skip the memo, so every verdict and refusal is the
+    one a fresh evaluator per conjunct gives.
+
+    A quantifier-free conjunct is decided once per neighbourhood of s0.
+    Its truth at s0 depends only on the valuation and on the rows (arrows
+    out of one state) of the agents it mentions at the states within
+    distance < `local_depth` of s0 (see there for the induction). So within
+    one valuation its verdict is kept under the arrow masks of those agents
+    cut down to those rows. The walk from s0 that finds the rows reads only
+    rows inside them, so two candidates with equal cut masks reach the same
+    rows, agree on all of them, and get the same verdict. A model and
+    evaluator are built only to evaluate, and the conjuncts evaluated are a
+    subset of those the uncached search evaluates, in the same order and
+    the same way: where that search decides, this one gives the same
+    answer, and it refuses only where that one does. It may answer where
+    that one exits 2: a clause formula is judged when any arrow of the
+    model needs it, so a reused verdict can skip one, needed only by arrows
+    outside the neighbourhood, that is over budget or names an undeclared
+    agent.
     """
     states = tuple(f"s{i}" for i in range(n))
     # validated once per size, so a bad --agents or --props name is reported
     # here; the candidates, over the same names, are derived from it unchecked
     base = KripkeModel(states, agents, props, {}, {}, point=states[0])
     # per-size tables, O(n * 2^n) entries: the states of each n-bit mask,
-    # and for each state i the arrows out of it, indexed by row i (bits
-    # i*n .. i*n+n-1) of an arrow mask
+    # for each state i the arrows out of it, indexed by row i (bits
+    # i*n .. i*n+n-1) of an arrow mask, and the rows of each state mask
     state_sets = tuple(
         frozenset(s for j, s in enumerate(states) if (mask >> j) & 1) for mask in range(1 << n)
     )
@@ -372,6 +385,7 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
         tuple(frozenset((s, t) for t in targets) for targets in state_sets) for s in states
     )
     full = (1 << n) - 1
+    row_bits = tuple(sum(full << i * n for i in range(n) if (mask >> i) & 1) for mask in range(1 << n))
 
     def arrows_of(mask: int) -> frozenset:
         out = frozenset()
@@ -380,13 +394,43 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
             mask >>= n
         return out
 
+    def near(masks: list, depth: int) -> tuple:
+        """masks cut down to the rows of the states within distance < depth of s0."""
+        seen = 1 if depth else 0
+        for _ in range(min(depth, n) - 1):
+            step = seen
+            for mask in masks:
+                mask &= row_bits[seen]
+                while mask:
+                    step |= mask & full
+                    mask >>= n
+            seen = step
+        return tuple(mask & row_bits[seen] for mask in masks)
+
+    # each conjunct's local depth (None: checked on every candidate) and read agents
+    plan = [
+        (i, c, local_depth(c), sorted(agents.index(a) for a in signature(c)[1] if a in agents))
+        for i, c in enumerate(conjuncts)
+    ]
     for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
         valued = base._derive(base.arrows, dict(zip(props, map(state_sets.__getitem__, prop_masks))))
+        verdicts = {}  # (conjunct index, its cut masks) -> verdict, for this valuation
         for arrow_masks in arrow_tuples:
-            m = valued._derive(dict(zip(agents, map(arrows_of, arrow_masks))))
-            check = core_checker(budget)
-            if all(states[0] in check(m, c) for c in conjuncts):
-                return m
+            m = None
+            for i, c, depth, read in plan:
+                key = depth is not None and (i, near([arrow_masks[j] for j in read], depth))
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    if m is None:
+                        m = valued._derive(dict(zip(agents, map(arrows_of, arrow_masks))))
+                        check = core_checker(budget)
+                    verdict = states[0] in check(m, c)
+                    if key:
+                        verdicts[key] = verdict
+                if not verdict:
+                    break
+            else:
+                return m or valued._derive(dict(zip(agents, map(arrows_of, arrow_masks))))
     return None
 
 

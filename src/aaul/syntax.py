@@ -511,3 +511,30 @@ def is_quantifier_free(f: Formula) -> bool:
     clause formulas satisfy this predicate.
     """
     return not any(isinstance(g, (ArbBox, ArbDiamond)) for g in subformulas(f))
+
+
+def local_depth(f: Formula) -> int | None:
+    """How far from a state the formula f looks, or None when f has a
+    [*]/<*>. f's truth at a state s depends only on the valuation and on
+    the arrows out of the states within distance < local_depth(f) of s,
+    along the arrows of the agents f mentions.
+
+    Atoms, true and false look at s alone (0); [a]g and <a>g one step
+    further than g; the connectives as far as their farthest part. [U]g and
+    <U>g look as far as g plus U's farthest clause formula: the updated
+    model keeps a subset of the arrows, and its arrows out of a state u are
+    fixed by u's arrows, U's pre at u and U's post at u's successors, all
+    judged in the original model. When g looks at s alone they look at s
+    alone, since an update keeps the valuation. Walked bottom-up over
+    `subformulas`, so any depth is fine.
+    """
+    if not is_quantifier_free(f):
+        return None
+    depth: dict[int, int] = {}
+    for g in reversed(tuple(subformulas(f))):  # each node after its parts
+        parts = [depth[id(h)] for h in _parts(g)[1]]
+        if isinstance(g, (UpdateBox, UpdateDiamond)):  # clause formulas, then the body
+            depth[id(g)] = parts[-1] and parts[-1] + max(parts[:-1])
+        else:
+            depth[id(g)] = max(parts, default=0) + isinstance(g, (Box, Diamond))
+    return depth[id(f)]

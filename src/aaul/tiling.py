@@ -420,30 +420,32 @@ def encode(inst: TileInstance) -> Formula:
 def find_periodic_tiling(inst: TileInstance, period: int) -> PeriodicTiling | None:
     """First period x period torus tiling in declared tile order, or None.
 
-    Plain backtracking: cells are filled row by row, each placement checked
-    against the already placed left and lower neighbours, wrapping at the
-    edges. Exponential in the worst case, fine at demonstration scale.
+    Plain backtracking with an explicit stack: cells are filled row by
+    row, each placement checked against the already placed left and lower
+    neighbours, wrapping at the edges. Exponential in the worst case, fine
+    at demonstration scale.
     """
     k = period
     cells = [(i % k, i // k) for i in range(k * k)]
     grid: dict[tuple[int, int], TileType] = {}
-
-    def place(i: int) -> bool:
-        if i == len(cells):
-            return True
-        pos = cells[i]
+    chosen: list[int] = []  # the index in inst.types of each placed tile, in cell order
+    start = 0  # the first index to try in the next cell
+    while len(chosen) < len(cells):
+        pos = cells[len(chosen)]
         # _meets looks up and right, so the new tile's sides are checked
         # from its own cell and from the cells left of and below it
         around = (pos, _step(pos, LEFT, k), _step(pos, DOWN, k))
-        for t in inst.types:
-            grid[pos] = t
-            if all(_meets(grid, k, *c) for c in around if c in grid) and place(i + 1):
-                return True
-            del grid[pos]
-        return False
-
-    if not place(0):
-        return None
+        for t in range(start, len(inst.types)):
+            grid[pos] = inst.types[t]
+            if all(_meets(grid, k, *c) for c in around if c in grid):
+                chosen.append(t)
+                start = 0
+                break
+        else:  # no tile fits: take back the previous cell's and try its next
+            grid.pop(pos, None)
+            if not chosen:
+                return None
+            start = chosen.pop() + 1
     tiling = PeriodicTiling(k, dict(grid))
     assert tiling.satisfies_constraints()
     return tiling

@@ -7,7 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from aaul import (
     AaulError,
+    And,
+    Box,
     Budget,
+    Clause,
+    Diamond,
+    Iff,
+    Or,
+    Update,
+    UpdateBox,
+    UpdateDiamond,
     conj,
     encode,
     load_model,
@@ -17,12 +26,15 @@ from aaul import (
     print_update,
     save_model,
 )
+from aaul import cli
 from aaul.cli import _canonical_candidates, run
+from aaul.syntax import subformulas
 from helpers import (
     naive_apply,
     naive_canonical,
     naive_sat_search,
     random_formula,
+    random_leaf,
     random_model,
     random_quantifier_free,
     random_update,
@@ -225,6 +237,14 @@ def test_witness_model(tiles_file):
     assert code == 1 and "no periodic tiling" in out
 
 
+def test_witness_model_large_period(tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("tile t N=c E=c S=c W=c\n")
+    code, out, err = invoke(["witness-model", str(path), "--period", "40"])
+    assert (code, err) == (0, "")
+    assert len(load_model(out).states) == 1 + 40 * 40
+
+
 def test_sat_search_finds_minimal_model():
     code, out, _ = invoke(["sat-search", "<a>p & [a]q", "--max-states", "2"])
     assert code == 0
@@ -361,6 +381,153 @@ def test_sat_search_matches_naive_reference():
         code, out, _ = invoke(argv)
         assert (code, out) == expected, argv
     assert decided >= 20
+
+
+@contextlib.contextmanager
+def _evaluators_built(cache=True):
+    """Counts the evaluators sat-search builds, one per candidate it has to
+    evaluate; cache=False turns off deciding a conjunct once per
+    neighbourhood, by giving every conjunct no local depth."""
+    built = []
+    real = cli.core_checker
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "core_checker", lambda budget: built.append(budget) or real(budget))
+        if not cache:
+            mp.setattr(cli, "local_depth", lambda f: None)
+        yield built
+
+
+def _cache_conjunct(rng, agents, props):
+    kind = rng.randrange(5)
+    if kind == 0:  # propositional
+        return Iff(random_leaf(rng, props), Or(random_leaf(rng, props), random_leaf(rng, props)))
+    if kind == 1:  # modal depth 1 to 3
+        body = random_quantifier_free(rng, rng.randint(0, 2), props, agents)
+        return rng.choice((Box, Diamond))(rng.choice(agents), body)
+    if kind == 2:  # an update whose clause formulas look past the state they judge
+        clauses = tuple(
+            Clause(Diamond(rng.choice(agents), random_leaf(rng, props)), rng.choice(agents),
+                   random_quantifier_free(rng, 1, props, agents))
+            for _ in range(rng.randint(1, 2))
+        )
+        body = random_quantifier_free(rng, rng.randint(0, 2), props, agents)
+        return rng.choice((UpdateBox, UpdateDiamond))(Update(clauses), body)
+    if kind == 3:
+        return single_quantifier_formula(rng, props, agents)
+    # a chain of modalities with a literal at each step, so that the first
+    # model found depends on the arrows two or three steps from s0
+    f = random_leaf(rng, props)
+    for _ in range(rng.randint(2, 3)):
+        f = rng.choice((Box, Diamond, Diamond))(rng.choice(agents), And(random_leaf(rng, props), f))
+    return f
+
+
+def _cache_formula(rng, agents, props):
+    return conj([_cache_conjunct(rng, agents, props) for _ in range(rng.randint(1, 3))])
+
+
+def test_sat_search_cache_changes_no_decision():
+    """Each quantifier-free conjunct decided once per neighbourhood of s0
+    gives the decisions of checking it on every candidate."""
+    rng = random.Random(20261019)
+    shapes = (
+        (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 3), (("a", "b"), ("p", "q"), 1), (("a",), ("p",), 3),
+    )
+    saved = naive_checked = 0
+    for _ in range(40):
+        agents, props, max_states = rng.choice(shapes)
+        f = _cache_formula(rng, agents, props)
+        argv = [
+            "sat-search", print_formula(f), "--max-states", str(max_states),
+            "--agents", ",".join(agents), "--props", ",".join(props),
+        ]
+        budget = Budget()
+        if rng.random() < 0.3:
+            budget = Budget(max_arrow_blocks=rng.randint(1, 3))
+            argv += ["--max-blocks", str(budget.max_arrow_blocks)]
+        with _evaluators_built() as cached_built:
+            cached = invoke(argv)
+        with _evaluators_built(cache=False) as uncached_built:
+            uncached = invoke(argv)
+        if uncached[0] != 2:
+            assert cached == uncached, argv
+        saved += len(uncached_built) - len(cached_built)
+        if uncached[0] != 2 and max_states < 3:
+            try:  # checking f whole, the reference may refuse where a conjunct rejects first
+                found = naive_sat_search(f, max_states, agents, props, budget)
+            except AaulError:
+                continue
+            assert (found is not None) == (uncached[0] == 0), argv
+            naive_checked += 1
+    assert saved >= 10000 and naive_checked >= 10
+
+
+def test_sat_search_cache_changes_no_decision_at_one_size():
+    """The same, at one size of 2 or 3 states, where a conjunct's
+    neighbourhood can leave states out, and under small budgets: where the
+    uncached search decides, the cached one returns the same model; every
+    refusal is kept, unless a cached verdict stands in for an update."""
+    rng = random.Random(13)
+    refused = decided = 0
+    for _ in range(80):
+        agents, props, n = rng.choice(
+            ((("a", "b"), ("p",), 2), (("a",), ("p", "q"), 2), (("a",), ("p",), 3), (("a",), ("p", "q"), 3))
+        )
+        f = _cache_formula(rng, agents, props)
+        budget = rng.choice(
+            (Budget(), Budget(max_arrow_blocks=2), Budget(max_recursion_depth=rng.randint(1, 4)))
+        )
+        outcomes = []
+        for cache in (True, False):
+            with _evaluators_built(cache):
+                try:
+                    found = cli._sat_search_n(cli._conjunct_order(f), n, agents, props, budget)
+                    outcomes.append(None if found is None else save_model(found))
+                except AaulError as e:
+                    outcomes.append(e)
+        cached, uncached = outcomes
+        if not isinstance(uncached, AaulError):
+            decided += 1
+            assert cached == uncached, print_formula(f)
+        else:
+            refused += 1
+            updates = any(isinstance(g, (UpdateBox, UpdateDiamond)) for g in subformulas(f))
+            if isinstance(cached, AaulError) or not updates:
+                assert str(cached) == str(uncached), print_formula(f)
+    assert refused >= 10 and decided >= 50
+
+
+def test_sat_search_builds_fewer_evaluators():
+    # "<a>p & [a]~p" is unsatisfiable, so every candidate up to 3 states is
+    # visited; its conjuncts read only the arrows out of s0
+    argv = ["sat-search", "<a>p & [a]~p", "--max-states", "3"]
+    with _evaluators_built() as cached:
+        assert invoke(argv) == (1, "none up to 3 states\n", "")
+    with _evaluators_built(cache=False) as uncached:
+        assert invoke(argv) == (1, "none up to 3 states\n", "")
+    assert (len(cached), len(uncached)) == (68, 2180)
+
+
+def test_sat_search_neighbourhood_reaches_two_steps():
+    # the last conjunct reads the row of s2, two steps from s0; the first
+    # candidate with the rows of s0 and s1 below has none, so a
+    # neighbourhood that stopped at s0's successors would keep its false
+    f = "p & q & [a](~p & q) & <a><a>(~q & <a>p)"
+    code, out, _ = invoke(["sat-search", f, "--max-states", "3"])
+    assert (code, out) == (
+        0, "states: s0 s1 s2\nagent a: s0->s1 s1->s2 s2->s0\nval p: s0\nval q: s0 s1\npoint: s0\n",
+    )
+
+
+def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
+    # the clause is 70 levels deep, and it is judged only on a candidate
+    # with an a-arrow; the update's body reads s0's valuation alone, so its
+    # verdict from the arrowless candidate is kept for the looping one,
+    # where checking the conjunct would have gone over the recursion budget
+    argv = ["sat-search", "~p & [{(" + "~" * 70 + "p,a,true)}]p", "--max-states", "1"]
+    assert invoke(argv) == (1, "none up to 1 states\n", "")
+    with _evaluators_built(cache=False):
+        assert invoke(argv) == (2, "", "error: recursion deeper than 64\n")
 
 
 def test_help_exits_zero(capsys):

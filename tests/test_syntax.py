@@ -15,6 +15,7 @@ from aaul import (
     Diamond,
     Iff,
     Implies,
+    KripkeModel,
     Not,
     Or,
     ParseError,
@@ -31,9 +32,11 @@ from aaul import (
     parse_update,
     print_formula,
     print_update,
+    satisfies,
     signature,
 )
-from helpers import random_ast
+from aaul.syntax import local_depth
+from helpers import random_ast, random_model, random_quantifier_free
 
 
 def test_basic_parse():
@@ -218,6 +221,45 @@ def test_is_quantifier_free():
     assert is_quantifier_free(parse_formula("[a]p & [{(q,b,true)}]r"))
     assert not is_quantifier_free(parse_formula("[*]p"))
     assert not is_quantifier_free(parse_formula("[{(<*>true,a,p)}]q"))
+
+
+def test_local_depth():
+    for text, depth in [
+        ("p & ~true", 0),
+        ("<a>p | [b]<a>q", 2),
+        ("[{(<a><a>p,a,true)}]q", 0),  # the body looks at its state alone
+        ("[{(<a><a>p,a,true)}]<a>q", 3),
+        ("<{(p,a,[b]q),(true,b,p)}>[a][a]r", 3),
+        ("[*]p", None),
+        ("[{(<*>true,a,p)}]<a>q", None),
+    ]:
+        assert local_depth(parse_formula(text)) == depth, text
+    f = Atom("p")
+    for _ in range(5000):
+        f = Diamond("a", f)
+    assert local_depth(f) == 5000
+
+
+def test_local_depth_bounds_what_a_formula_reads():
+    # redrawing every arrow out of a state at distance >= local_depth from
+    # the point, and every arrow of an agent f never mentions, keeps f's
+    # truth at the point
+    rng = random.Random(5)
+    for _ in range(300):
+        m = random_model(rng, max_states=4)
+        f = random_quantifier_free(rng, rng.randint(1, 4))
+        depth, read = local_depth(f), signature(f)[1]
+        near, frontier = set(), {m.point}
+        for _ in range(depth):
+            near |= frontier
+            frontier = {t for a in read for s, t in m.arrows[a] if s in frontier} - near
+        arrows = {
+            a: {(s, t) for s, t in m.arrows[a] if s in near and a in read}
+            | {(s, t) for s in m.states for t in m.states if not (s in near and a in read) and rng.random() < 0.5}
+            for a in m.agents
+        }
+        other = KripkeModel(m.states, m.agents, m.props, arrows, m.valuation, point=m.point)
+        assert satisfies(m, m.point, f) == satisfies(other, m.point, f), print_formula(f)
 
 
 def test_walker_takes_any_depth():

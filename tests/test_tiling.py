@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from aaul import (
@@ -127,6 +130,37 @@ def test_find_periodic_tiling_unsolvable():
     inst = parse_tiles("tile T N=a E=c S=b W=c\n")
     for k in (1, 2, 3):
         assert find_periodic_tiling(inst, k) is None
+
+
+def test_find_periodic_tiling_large_period():
+    # one cell per loop step, not per stack frame: period 40 has 1600 cells
+    inst = parse_tiles("tile t N=c E=c S=c W=c\n")
+    tiling = find_periodic_tiling(inst, 40)
+    assert tiling.period == 40 and {t.name for t in tiling.grid.values()} == {"t"}
+    assert len(tiling.grid) == 1600
+    # a wrap that needs backtracking: A and B alternate, so an odd period fails
+    assert find_periodic_tiling(parse_tiles(ALTERNATING), 41) is None
+
+
+def test_find_periodic_tiling_first_in_declared_order():
+    # every grid, cells row by row, tiles in declared order: the first that
+    # fits is the one the search returns
+    rng = random.Random(7)
+    for _ in range(60):
+        names = [f"T{i}" for i in range(rng.randint(1, 3))]
+        inst = parse_tiles("".join(
+            f"tile {t} N={rng.choice('gb')} E={rng.choice('gb')} S={rng.choice('gb')} W={rng.choice('gb')}\n"
+            for t in names
+        ))
+        for k in (1, 2):
+            cells = [(i % k, i // k) for i in range(k * k)]
+            first = next(
+                (grid for grid in (dict(zip(cells, row)) for row in itertools.product(inst.types, repeat=k * k))
+                 if PeriodicTiling(k, grid).satisfies_constraints()),
+                None,
+            )
+            found = find_periodic_tiling(inst, k)
+            assert (found and found.grid) == first
 
 
 def test_encoder_conjunct_count_and_flatten():
