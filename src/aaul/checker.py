@@ -8,7 +8,11 @@ every such union is realizable by clauses built from characteristic
 formulas. The checker therefore enumerates the 2^k unions of the k arrow
 blocks, in lexicographic order over the sorted index tuples. k is capped by
 Budget.max_arrow_blocks; hitting a cap raises BudgetExceededError rather
-than guessing.
+than guessing. The first union is the empty one, which needs no block: the
+partition, the blocks and the cap are computed only once a walk goes past
+it. So [*]g where g is false everywhere without arrows, and <*>g where g
+is true everywhere without arrows, are answered exactly at any block
+count.
 
 The enumeration (`_unions`) walks that order depth first and adds or
 removes one block per step, so each union costs one frozenset union over
@@ -36,6 +40,8 @@ as an ordinary update.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .bisim import ArrowBlock, Partition, arrow_blocks, characteristic_formulas, coarsest_partition
@@ -82,10 +88,14 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def _unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...]):
-    """Every union of the blocks as (chosen indices, induced submodel), in
-    lexicographic order over the sorted index tuples:
+def _unions(m: KripkeModel, blocks):
+    """Every union of the blocks `blocks()` gives as (chosen indices, induced
+    submodel), in lexicographic order over the sorted index tuples:
     (), (0,), (0,1), (0,1,2), ..., (0,2), ..., (1,), (1,2), ...
+
+    The empty union needs no block, so blocks() is called only once the
+    walk is asked for a second union: a walk that stops at the empty one
+    never builds a partition and never meets the block cap.
 
     A depth-first walk with an explicit stack: each step adds or removes
     one block, so each union is its parent's arrows plus one block's, and
@@ -97,6 +107,7 @@ def _unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...]):
     chosen: list[int] = []
     saved: list[frozenset] = []  # the touched agent's arrows before each chosen block
     yield (), m._derive(dict(arrows))
+    blocks = blocks()
     i = 0
     while True:
         if i < len(blocks):
@@ -140,10 +151,11 @@ def _read_agents(body: Formula, discrete) -> set[str] | None:
     return agents
 
 
-def _distinct_unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...], reads):
+def _distinct_unions(m: KripkeModel, blocks, reads):
     """The items of `_unions(m, blocks)` whose arrows for the agents in
     reads() differ from those of every earlier item; reads() is the body's
-    `_read_agents`, asked for once, at the second union.
+    `_read_agents`, asked for once, after the walk has drawn its second
+    union, and so after blocks() has passed the cap.
 
     Soundness, for a [*]/<*> body g. Every union has the root's states and
     valuation, so a quantifier-free g's truth set in it depends only on the
@@ -165,10 +177,11 @@ def _distinct_unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...], reads):
     of V's arrows, and the nested truth set depends only on V's arrows for
     the agents its body reads. (2) No nested block cap can refuse: every
     model derived inside has a subset of m's arrows, and m's blocks, one
-    per arrow, passed the cap. (3) Two unions with equal read arrows have
-    the same read blocks in the same relative order, so their nested walks
-    evaluate the same distinct read sets in the same order, with the same
-    recursion refusals, early exits and witnesses.
+    per arrow, passed the cap before reads() was asked (the empty union,
+    evaluated before that, is never skipped). (3) Two unions with equal
+    read arrows have the same read blocks in the same relative order, so
+    their nested walks evaluate the same distinct read sets in the same
+    order, with the same recursion refusals, early exits and witnesses.
 
     Every union is still drawn from `_unions`, in its order; only the
     body's evaluation is skipped.
@@ -176,10 +189,12 @@ def _distinct_unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...], reads):
     unions = _unions(m, blocks)
     first = next(unions)
     yield first
-    if not blocks:
+    second = next(unions, None)  # calls blocks(), which raises over the cap
+    if second is None:
         return
     read = reads()
     agents = m.agents if read is None else tuple(a for a in m.agents if a in read)
+    unions = itertools.chain((second,), unions)
     if len(agents) == len(m.agents):
         yield from unions  # every union differs on some agent's arrows
         return
@@ -191,20 +206,17 @@ def _distinct_unions(m: KripkeModel, blocks: tuple[ArrowBlock, ...], reads):
             yield chosen, sub
 
 
-def _materialize_update(
-    m: KripkeModel,
-    part: Partition,
-    blocks: tuple[ArrowBlock, ...],
-    chosen: tuple[int, ...],
-) -> Update:
-    """An update literal that keeps exactly the chosen blocks' arrows.
+def _materialize_update(m: KripkeModel, checked, chosen: tuple[int, ...]) -> Update:
+    """An update literal that keeps exactly the chosen blocks' arrows;
+    checked() gives the partition and the blocks.
 
     The empty union becomes a single never-matching clause, since updates
-    need at least one clause.
+    need at least one clause, and asks checked() for nothing.
     """
     if not chosen:
         agent = m.agents[0] if m.agents else "a"
         return Update((Clause(BOT, agent, BOT),))
+    part, blocks = checked()
     chars = characteristic_formulas(m, part)
     return Update(
         tuple(
@@ -346,7 +358,8 @@ class _Evaluator:
             box = kind is ArbBox
             out = states if box else frozenset()
             if not (box and type(f.body) is Top):
-                unions = _distinct_unions(m, _checked_blocks(m, self.budget)[1], lambda: self.reads(m, f))
+                blocks = lambda: _checked_blocks(m, self.budget)[1]
+                unions = _distinct_unions(m, blocks, lambda: self.reads(m, f))
                 for _, sub in unions:
                     got = self.truth_set(sub, f.body, depth + 1)
                     out = out & got if box else out | got
@@ -402,11 +415,12 @@ def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFA
     if not isinstance(f, ArbDiamond):
         raise TypeError("witness_update expects a <*> formula")
     m.state_index(state)
-    part, blocks = _checked_blocks(m, budget)
+    checked = functools.cache(lambda: _checked_blocks(m, budget))
     check = core_checker(budget)
-    for chosen, sub in _distinct_unions(m, blocks, lambda: _read_agents(f.body, lambda: _valuation_discrete(m))):
+    reads = lambda: _read_agents(f.body, lambda: _valuation_discrete(m))
+    for chosen, sub in _distinct_unions(m, lambda: checked()[1], reads):
         if state in check(sub, f.body):
-            return _materialize_update(m, part, blocks, chosen)
+            return _materialize_update(m, checked, chosen)
     return None
 
 

@@ -319,18 +319,21 @@ def _conjunct_order(f) -> tuple:
     first, then those with an update, then those with [*]/<*>, each group
     in the given order."""
 
-    def group(c) -> int:
-        if not is_quantifier_free(c):
-            return 2
-        return int(any(isinstance(g, (UpdateBox, UpdateDiamond)) for g in subformulas(c)))
+    return tuple(sorted(flatten_conj(f), key=_group))
 
-    return tuple(sorted(flatten_conj(f), key=group))
+
+def _group(c) -> int:
+    """2 for a formula with [*]/<*>, else 1 for one with an update, else 0."""
+    if not is_quantifier_free(c):
+        return 2
+    return int(any(isinstance(g, (UpdateBox, UpdateDiamond)) for g in subformulas(c)))
 
 
 def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | None:
     """The first model with n states, in candidate order, that satisfies
-    every one of the formulas `conjuncts` at s0, among those in
-    canonical form; None if there is none.
+    every one of the formulas `conjuncts` (in `_conjunct_order`) at s0,
+    among those in canonical form in which s0 reaches every state; None if
+    there is none.
 
     A candidate is a tuple of n-bit valuation masks, one per proposition,
     then n*n-bit arrow masks, one per agent, visited in itertools.product
@@ -370,6 +373,35 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
     model needs it, so a reused verdict can skip one, needed only by arrows
     outside the neighbourhood, that is over budget or names an undeclared
     agent.
+
+    Only point-generated candidates, where every state is reachable from s0
+    along some agent's arrows, can be found (judged on the OR of the arrow
+    masks, once per distinct OR). f's truth at s0 depends only on the
+    submodel generated by s0, by induction on f: [U] keeps the arrows
+    between its states as the clauses judge them there; for [*], the
+    coarsest partition of the submodel is the full one restricted to it,
+    each of its arrow blocks is the non-empty restriction of exactly one
+    full block, and so the unions of the one map onto those of the other,
+    each a submodel closed under its own arrows. Sizes are searched in
+    ascending order, so a first satisfying candidate with an unreachable
+    state would mean that its generated submodel, a smaller candidate up
+    to relabelling, was found before: none is ever the first found, and
+    leaving them out changes no model printed.
+
+    Leaving a candidate out also drops the verdicts it would have kept for
+    later ones. Only a conjunct with an update can miss them: any other
+    conjunct with a local depth is evaluated along a path that the arrows
+    do not change, so it refuses on every candidate or on none; but [U]
+    judges a clause formula only where some arrow needs it, so a later
+    candidate may refuse on one that the earlier never judged. So a
+    candidate that is not point-generated still goes through the conjuncts
+    up to the last one with an update (`_conjunct_order` puts them before
+    every [*]/<*> one), keeping the verdicts the search without the skip
+    keeps, and is never returned; with no such conjunct it goes through
+    none and nothing is built for it. Either way only evaluations are
+    dropped, and no kept verdict that an update conjunct needs: where the
+    search without the skip decides, this one gives the same answer, and a
+    refusal met on a dropped evaluation may become an answer.
     """
     states = tuple(f"s{i}" for i in range(n))
     # validated once per size, so a bad --agents or --props name is reported
@@ -394,30 +426,52 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
             mask >>= n
         return out
 
+    def step(seen: int, masks) -> int:
+        """The state mask seen plus the targets of masks' rows at seen."""
+        out = seen
+        for mask in masks:
+            mask &= row_bits[seen]
+            while mask:
+                out |= mask & full
+                mask >>= n
+        return out
+
     def near(masks: list, depth: int) -> tuple:
         """masks cut down to the rows of the states within distance < depth of s0."""
         seen = 1 if depth else 0
         for _ in range(min(depth, n) - 1):
-            step = seen
-            for mask in masks:
-                mask &= row_bits[seen]
-                while mask:
-                    step |= mask & full
-                    mask >>= n
-            seen = step
+            seen = step(seen, masks)
         return tuple(mask & row_bits[seen] for mask in masks)
+
+    reaches_all = {}  # the OR of a candidate's arrow masks -> is every state reachable from s0
+
+    def point_generated(arrow_masks) -> bool:
+        union = 0
+        for mask in arrow_masks:
+            union |= mask
+        reached = reaches_all.get(union)
+        if reached is None:
+            seen, wider = 0, 1
+            while wider != seen:
+                seen, wider = wider, step(wider, (union,))
+            reached = reaches_all[union] = seen == full
+        return reached
 
     # each conjunct's local depth (None: checked on every candidate) and read agents
     plan = [
         (i, c, local_depth(c), sorted(agents.index(a) for a in signature(c)[1] if a in agents))
         for i, c in enumerate(conjuncts)
     ]
+    # what a candidate that is not point-generated goes through: the
+    # conjuncts up to the last one with an update, none if there is none
+    filling = plan[: max((k + 1 for k, c in enumerate(conjuncts) if _group(c) == 1), default=0)]
     for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
         valued = base._derive(base.arrows, dict(zip(props, map(state_sets.__getitem__, prop_masks))))
         verdicts = {}  # (conjunct index, its cut masks) -> verdict, for this valuation
         for arrow_masks in arrow_tuples:
+            generated = point_generated(arrow_masks)
             m = None
-            for i, c, depth, read in plan:
+            for i, c, depth, read in plan if generated else filling:
                 key = depth is not None and (i, near([arrow_masks[j] for j in read], depth))
                 verdict = verdicts.get(key)
                 if verdict is None:
@@ -430,7 +484,8 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
                 if not verdict:
                     break
             else:
-                return m or valued._derive(dict(zip(agents, map(arrows_of, arrow_masks))))
+                if generated:
+                    return m or valued._derive(dict(zip(agents, map(arrows_of, arrow_masks))))
     return None
 
 

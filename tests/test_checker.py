@@ -106,20 +106,42 @@ def test_arb_box_laws():
         assert arb <= truth_set(m, f)
 
 
-def test_arb_top_shortcut_skips_enumeration():
+def _sixteen_blocks():
     # 4 propositionally distinct states, complete relation: 16 arrow blocks
-    m = KripkeModel(
+    return KripkeModel(
         states=("s0", "s1", "s2", "s3"),
         agents=("a",),
         props=("p", "q"),
         arrows={"a": {(s, t) for s in ("s0", "s1", "s2", "s3") for t in ("s0", "s1", "s2", "s3")}},
         valuation={"p": {"s1", "s3"}, "q": {"s2", "s3"}},
     )
+
+
+def test_arb_top_shortcut_skips_enumeration():
+    m = _sixteen_blocks()
     tight = Budget(max_arrow_blocks=10)
     assert satisfies(m, "s0", parse_formula("[*]true"), tight)
     with pytest.raises(BudgetExceededError) as exc:
         satisfies(m, "s0", parse_formula("[*]p"), tight)
     assert exc.value.kind == "arrow_blocks"
+
+
+def test_over_cap_model_decided_at_the_empty_union(monkeypatch):
+    # the walk's first union is the empty one; a quantifier that stops there
+    # never builds a partition, so the cap of 10 on 16 blocks is not met
+    m = _sixteen_blocks()
+    tight = Budget(max_arrow_blocks=10)
+    partitions = []
+    real = checker.coarsest_partition
+    monkeypatch.setattr(checker, "coarsest_partition", lambda m: partitions.append(m) or real(m))
+    assert truth_set(m, parse_formula("[*]<a>true"), tight) == frozenset()
+    assert truth_set(m, parse_formula("<*>[a]false"), tight) == frozenset(m.states)
+    w = witness_update(m, "s0", parse_formula("<*>[a]false"), tight)
+    assert print_update(w) == "{(false,a,false)}"
+    assert partitions == []
+    with pytest.raises(BudgetExceededError) as exc:
+        satisfies(m, "s0", parse_formula("[*]p"), tight)
+    assert exc.value.kind == "arrow_blocks" and len(partitions) == 1
 
 
 def test_recursion_budget():
@@ -380,7 +402,7 @@ def test_sugared_node_matches_its_definition(twins, monkeypatch):
     drawn, _ = _record(monkeypatch)
     rng = random.Random(97)
     answers = refusals = 0
-    for _ in range(800):
+    for _ in range(1100):
         m = random_model(rng, max_states=3)
         g, h = _nested_formula(rng, 2), _nested_formula(rng, 2)
         u = Update((Clause(_nested_formula(rng, 1), rng.choice("ab"), _nested_formula(rng, 1)),))
@@ -423,7 +445,7 @@ def test_unions_walk_lexicographic_order():
             m = KripkeModel(states, ("a", "b"), ("p0", "p1", "p2"), arrows, {f"p{i}": {s} for i, s in enumerate(states)})
             blocks = arrow_blocks(m, coarsest_partition(m))
             assert len(blocks) == size
-            walked = list(_unions(m, blocks))
+            walked = list(_unions(m, lambda: blocks))
             expected = sorted(c for k in range(size + 1) for c in itertools.combinations(range(size), k))
             assert [chosen for chosen, _ in walked] == expected
             for chosen, sub in walked:
@@ -437,7 +459,7 @@ def test_unchecked_models_equal_validated_ones():
         blocks = arrow_blocks(m, coarsest_partition(m))
         if len(blocks) > 8:
             continue
-        walked = list(_unions(m, blocks))
+        walked = list(_unions(m, lambda: blocks))
         for chosen, sub in walked:
             _assert_equal_models(sub, _validated_union(m, blocks, chosen))
         for _, sub in walked[-3:]:
@@ -515,7 +537,7 @@ def test_one_check_switches_models():
         if not 2 <= len(blocks) <= 8:
             continue
         u = random_update(rng)
-        subs = [sub for _, sub in _unions(m, blocks)]
+        subs = [sub for _, sub in _unions(m, lambda: blocks)]
         visits = [m, *rng.sample(subs, 3), update_model(m, u)] * 2
         rng.shuffle(visits)
         after = UpdateBox(u, random_quantifier_free(rng, 1))
@@ -534,6 +556,43 @@ def _answer(call, *args):
         return call(*args)
     except BudgetExceededError as e:
         return e.kind, str(e)
+
+
+def test_blocks_are_asked_for_only_past_the_empty_union():
+    # [*]g and <*>g meet the block cap only when the walk goes past the
+    # empty union: where g holds nowhere there ([*]), or everywhere (<*>),
+    # they answer at any block count, and otherwise they refuse over the
+    # cap. [*]true answers without a walk. witness_update likewise stops at
+    # the empty union when g holds at the state there. Every answer matches
+    # naive_eval, which builds every range in full.
+    rng = random.Random(139)
+    answered_over_cap = refusals = naive_checked = 0
+    for _ in range(300):
+        m = random_model(rng, max_states=3)
+        blocks = len(arrow_blocks(m, coarsest_partition(m)))
+        body = random_quantifier_free(rng, rng.randint(1, 3))
+        empty = truth_set(m.with_arrows({a: frozenset() for a in m.agents}), body)
+        for quantifier, stops in ((ArbBox, not empty or body == TOP), (ArbDiamond, len(empty) == len(m.states))):
+            f = quantifier(body)
+            for cap in (1, 2, 4):
+                budget = Budget(max_arrow_blocks=cap)
+                got = _answer(truth_set, m, f, budget)
+                if blocks > cap and not stops:
+                    assert got == ("arrow_blocks", f"{blocks} arrow blocks exceed the cap of {cap}")
+                    refusals += 1
+                    continue
+                answered_over_cap += blocks > cap
+                if blocks <= 8:
+                    assert got == {s for s in m.states if naive_eval(m, s, f)}
+                    naive_checked += 1
+        for cap in (1, 2, 4):
+            w = _answer(witness_update, m, m.point, ArbDiamond(body), Budget(max_arrow_blocks=cap))
+            if blocks > cap and m.point not in empty:
+                assert w == ("arrow_blocks", f"{blocks} arrow blocks exceed the cap of {cap}")
+            elif blocks <= 8:
+                assert (w is not None) == naive_eval(m, m.point, ArbDiamond(body))
+                assert w is None or naive_eval(naive_apply(m, w), m.point, body)
+    assert answered_over_cap >= 300 and refusals >= 300 and naive_checked >= 1000
 
 
 def _modal(rng, agents):
@@ -555,7 +614,7 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
     budgets.append(Budget(max_arrow_blocks=8, max_recursion_depth=4))
     rng = random.Random(101)
     answers = refusals = naive_checked = skipped = 0
-    for _ in range(400):
+    for _ in range(600):
         agents = ("a", "b", "c")[: rng.randint(2, 3)]
         m = random_model(rng, max_states=3, agents=agents, density=0.2)
         named = agents + ("z",)
@@ -627,7 +686,7 @@ def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
     budgets.append(Budget(max_arrow_blocks=8, max_recursion_depth=4))
     rng = random.Random(131)
     answers = refusals = naive_checked = fired = 0
-    for _ in range(150):
+    for _ in range(160):
         agents = ("a", "b", "c")[: rng.randint(2, 3)]
         m = _discrete_model(rng, agents)
         assert checker._valuation_discrete(m)

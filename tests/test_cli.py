@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from aaul import (
     AaulError,
     And,
+    ArbBox,
+    ArbDiamond,
     Box,
     Budget,
     Clause,
@@ -19,6 +21,7 @@ from aaul import (
     UpdateDiamond,
     conj,
     encode,
+    is_quantifier_free,
     load_model,
     parse_formula,
     parse_tiles,
@@ -32,6 +35,7 @@ from aaul.syntax import subformulas
 from helpers import (
     naive_apply,
     naive_canonical,
+    naive_eval,
     naive_sat_search,
     random_formula,
     random_leaf,
@@ -296,11 +300,15 @@ def test_sat_search_checks_conjuncts_one_at_a_time():
     # the candidate
     code, out, _ = invoke(["sat-search", " & ".join(["p"] * 70), "--max-states", "1"])
     assert (code, out) == (0, "states: s0\nval p: s0\npoint: s0\n")
-    # a candidate that passes the plain conjuncts still reaches the [*] one
-    code, _, err = invoke([
-        "sat-search", "<a>p & <a>~p & [*]<a>true", "--max-states", "2", "--max-blocks", "1",
-    ])
-    assert code == 2 and "2 arrow blocks exceed the cap of 1" in err
+    # a candidate that passes the plain conjuncts still reaches the [*] one;
+    # <a>true is false everywhere once every arrow is gone, so [*]<a>true is
+    # refuted at the empty union, under any cap
+    argv = ["sat-search", "<a>p & <a>~p & [*]<a>true", "--max-states", "2", "--max-blocks", "1"]
+    assert invoke(argv) == (1, "none up to 2 states\n", "")
+    # p | <a>true still holds at the p-states there, so the walk goes on,
+    # to the blocks and over the cap
+    argv[1] = "<a>p & <a>~p & [*](p | <a>true)"
+    assert invoke(argv) == (2, "", "error: 2 arrow blocks exceed the cap of 1\n")
 
 
 def test_sat_search_depth_refusal():
@@ -386,12 +394,19 @@ def test_sat_search_matches_naive_reference():
 @contextlib.contextmanager
 def _evaluators_built(cache=True):
     """Counts the evaluators sat-search builds, one per candidate it has to
-    evaluate; cache=False turns off deciding a conjunct once per
+    evaluate, each as the list of (model, formula) pairs it is asked
+    about; cache=False turns off deciding a conjunct once per
     neighbourhood, by giving every conjunct no local depth."""
     built = []
     real = cli.core_checker
+
+    def counted(budget):
+        check, asked = real(budget), []
+        built.append(asked)
+        return lambda m, f: asked.append((m, f)) or check(m, f)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "core_checker", lambda budget: built.append(budget) or real(budget))
+        mp.setattr(cli, "core_checker", counted)
         if not cache:
             mp.setattr(cli, "local_depth", lambda f: None)
         yield built
@@ -434,7 +449,7 @@ def test_sat_search_cache_changes_no_decision():
         (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 3), (("a", "b"), ("p", "q"), 1), (("a",), ("p",), 3),
     )
     saved = naive_checked = 0
-    for _ in range(40):
+    for _ in range(60):
         agents, props, max_states = rng.choice(shapes)
         f = _cache_formula(rng, agents, props)
         argv = [
@@ -498,14 +513,112 @@ def test_sat_search_cache_changes_no_decision_at_one_size():
 
 
 def test_sat_search_builds_fewer_evaluators():
-    # "<a>p & [a]~p" is unsatisfiable, so every candidate up to 3 states is
-    # visited; its conjuncts read only the arrows out of s0
+    # "<a>p & [a]~p" is unsatisfiable, so every point-generated candidate up
+    # to 3 states is visited; its conjuncts read only the arrows out of s0
     argv = ["sat-search", "<a>p & [a]~p", "--max-states", "3"]
     with _evaluators_built() as cached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
     with _evaluators_built(cache=False) as uncached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
-    assert (len(cached), len(uncached)) == (68, 2180)
+    assert (len(cached), len(uncached)) == (48, 1092)
+
+
+def _generated(arrow_masks, n: int) -> bool:
+    """Is every state of the candidate reachable from state 0?"""
+    seen, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for mask in arrow_masks:
+            for j in range(n):
+                if mask >> (i * n + j) & 1 and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+    return len(seen) == n
+
+
+def _masks(m, agents, props):
+    """The candidate masks of a model over states s0..s{n-1}."""
+    n = len(m.states)
+    index = {s: i for i, s in enumerate(m.states)}
+    return (
+        tuple(sum(1 << index[s] for s in m.valuation[p]) for p in props),
+        tuple(sum(1 << (index[s] * n + index[t]) for s, t in m.arrows[a]) for a in agents),
+    )
+
+
+def test_sat_search_builds_only_point_generated_models():
+    # "<a>p & [a]~p" is unsatisfiable, so each size is searched in full, and
+    # uncached each candidate checked gets an evaluator of its own: they are
+    # exactly the canonical candidates whose every state s0 reaches, in order
+    f = parse_formula("<a>p & [a]~p")
+    for agents, props, n in ((("a",), ("p",), 3), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 3)):
+        with _evaluators_built(cache=False) as built:
+            assert cli._sat_search_n(cli._conjunct_order(f), n, agents, props, Budget()) is None
+        assert all(len({m for m, _ in asked}) == 1 for asked in built)
+        canonical = [
+            (prop_masks, arrow_masks)
+            for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents))
+            for arrow_masks in arrow_tuples
+        ]
+        expected = [c for c in canonical if _generated(c[1], n)]
+        assert [_masks(asked[0][0], agents, props) for asked in built] == expected
+        assert len(expected) < len(canonical)
+    # cached, with [*]/<*> conjuncts and small budgets: a model with a state
+    # s0 cannot reach is built only when some conjunct has an update, is
+    # asked only about quantifier-free conjuncts, and is never returned
+    rng = random.Random(211)
+    filled = 0
+    for _ in range(40):
+        agents, props, n = rng.choice(((("a",), ("p",), 3), (("a", "b"), ("p",), 2)))
+        f = _cache_formula(rng, agents, props)
+        conjuncts = cli._conjunct_order(f)
+        budget = rng.choice((Budget(), Budget(max_arrow_blocks=2)))
+        with _evaluators_built() as built:
+            try:
+                found = cli._sat_search_n(conjuncts, n, agents, props, budget)
+            except AaulError:
+                found = None
+        assert found is None or _generated(_masks(found, agents, props)[1], n)
+        for asked in built:
+            for m, g in asked:
+                if not _generated(_masks(m, agents, props)[1], n):
+                    assert is_quantifier_free(g) and any(cli._group(c) == 1 for c in conjuncts)
+                    filled += 1
+    assert filled >= 10
+
+
+def test_sat_search_quantified_matches_naive_reference():
+    # with a [*]/<*> conjunct, against the reference, which checks every
+    # canonical candidate whole: where it decides, the same output; where it
+    # refuses, a model found must still satisfy f
+    rng = random.Random(20261020)
+    decided = 0
+    for _ in range(40):
+        agents, props, max_states = rng.choice(((("a",), ("p",), 3), (("a", "b"), ("p",), 2)))
+        parts = [random_quantifier_free(rng, 2, props, agents) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.5:
+            parts.append(single_quantifier_formula(rng, props, agents))
+        else:
+            parts.append(rng.choice((ArbBox, ArbDiamond))(random_quantifier_free(rng, 2, props, agents)))
+        f = conj(parts)
+        max_blocks = rng.choice((None, 1, 2, 3))
+        budget = Budget() if max_blocks is None else Budget(max_arrow_blocks=max_blocks)
+        argv = [
+            "sat-search", print_formula(f), "--max-states", str(max_states),
+            "--agents", ",".join(agents), "--props", ",".join(props),
+        ] + (["--max-blocks", str(max_blocks)] if max_blocks else [])
+        code, out, _ = invoke(argv)
+        try:
+            found = naive_sat_search(f, max_states, agents, props, budget)
+        except AaulError:
+            if code == 0:
+                m = load_model(out)
+                assert naive_eval(m, m.point, f), argv
+            continue
+        expected = (0, save_model(found)) if found is not None else (1, f"none up to {max_states} states\n")
+        assert (code, out) == expected, argv
+        decided += 1
+    assert decided >= 25
 
 
 def test_sat_search_neighbourhood_reaches_two_steps():
@@ -528,6 +641,11 @@ def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
     assert invoke(argv) == (1, "none up to 1 states\n", "")
     with _evaluators_built(cache=False):
         assert invoke(argv) == (2, "", "error: recursion deeper than 64\n")
+    # at two states the first candidate of each valuation has no arrows, so
+    # s0 does not reach s1; it still goes through the update conjunct, and
+    # the verdict it keeps stands in for the candidates with arrows
+    argv[3] = "2"
+    assert invoke(argv) == (1, "none up to 2 states\n", "")
 
 
 def test_help_exits_zero(capsys):
