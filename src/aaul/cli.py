@@ -18,6 +18,7 @@ unknown state or agent, exceeded budget or search limit).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -27,6 +28,8 @@ from .checker import Budget, DEFAULT_BUDGET, core_checker, satisfies, update_mod
 from .errors import AaulError
 from .kripke import KripkeModel, export_dot, load_model, save_model
 from .syntax import (
+    ArbBox,
+    ArbDiamond,
     UpdateBox,
     UpdateDiamond,
     flatten_conj,
@@ -58,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
+@functools.cache  # once per process: parse_args keeps nothing between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aaul", description="arrow update logic toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -329,6 +333,15 @@ def _group(c) -> int:
     return int(any(isinstance(g, (UpdateBox, UpdateDiamond)) for g in subformulas(c)))
 
 
+def _settled(check, m: KripkeModel, c) -> bool | None:
+    """Whether c holds at m's point by `check`, or None when the check
+    refuses: a refused check decides nothing."""
+    try:
+        return m.point in check(m, c)
+    except AaulError:
+        return None
+
+
 def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | None:
     """The first model with n states, in candidate order, that satisfies
     every one of the formulas `conjuncts` (in `_conjunct_order`) at s0,
@@ -390,8 +403,8 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
 
     Leaving a candidate out also drops the verdicts it would have kept for
     later ones. Only a conjunct with an update can miss them: any other
-    conjunct with a local depth is evaluated along a path that the arrows
-    do not change, so it refuses on every candidate or on none; but [U]
+    quantifier-free conjunct is evaluated along a path that the arrows do
+    not change, so it refuses on every candidate or on none; but [U]
     judges a clause formula only where some arrow needs it, so a later
     candidate may refuse on one that the earlier never judged. So a
     candidate that is not point-generated still goes through the conjuncts
@@ -402,6 +415,39 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
     dropped, and no kept verdict that an update conjunct needs: where the
     search without the skip decides, this one gives the same answer, and a
     refusal met on a dropped evaluation may become an answer.
+
+    Two kinds of conjunct are settled before any arrow mask is looked at,
+    by one evaluator per valuation (`_settled`):
+
+    (a) Per valuation, on `valued`, the valuation with no arrows. A
+    conjunct of local depth 0 holds at s0 of every candidate exactly when
+    it holds there. `valued` is also the empty union, the first one every
+    candidate's [*]/<*> walk evaluates its body on: so a top-level [*]g
+    false at s0 of `valued` is false on every candidate, and a top-level
+    <*>g true there is true on every candidate. A conjunct so decided true
+    leaves this valuation's plan; one decided false skips the valuation
+    with all its arrow masks. Verdicts are kept per valuation, so skipping
+    one drops none that another valuation reads.
+
+    (b) Per s0-row tuple, the rows of s0 (`mask & full`) of every agent. A
+    conjunct of local depth 1 reads only s0's rows of the agents it
+    mentions, so it is decided on a model that holds just those rows, and
+    its verdict is kept under the same key as (in place of) one evaluated
+    on a candidate. A candidate is rejected before anything else is
+    computed for it when such a conjunct is false and every conjunct before
+    it in the plan is one that (b) decided true or one with neither update
+    nor [*]/<*>: a candidate that the search without (b) would have taken
+    through an update conjunct first still goes that way, so that it keeps
+    the same verdicts for later candidates (as for point generation,
+    above); a conjunct with neither refuses on every candidate or on none,
+    so a verdict of one that is missed costs no refusal.
+
+    A check of (a) or (b) that refuses decides nothing: the conjunct stays
+    in the plan and is checked on the candidates as before, and (b) stops
+    at it. Where the search without (a) and (b) decides, every verdict
+    they give is the one it gives, and every candidate they reject is one
+    it rejects, so the output is the same; the search refuses only where
+    that one does, and may answer where it refuses.
     """
     states = tuple(f"s{i}" for i in range(n))
     # validated once per size, so a bad --agents or --props name is reported
@@ -457,21 +503,71 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
             reached = reaches_all[union] = seen == full
         return reached
 
-    # each conjunct's local depth (None: checked on every candidate) and read agents
+    # each conjunct's local depth (None: checked on every candidate), read agents and group
     plan = [
-        (i, c, local_depth(c), sorted(agents.index(a) for a in signature(c)[1] if a in agents))
+        (i, c, local_depth(c), sorted(agents.index(a) for a in signature(c)[1] if a in agents), _group(c))
         for i, c in enumerate(conjuncts)
     ]
-    # what a candidate that is not point-generated goes through: the
-    # conjuncts up to the last one with an update, none if there is none
-    filling = plan[: max((k + 1 for k, c in enumerate(conjuncts) if _group(c) == 1), default=0)]
+    settling = any(depth in (0, 1) or type(c) in (ArbBox, ArbDiamond) for _, c, depth, _, _ in plan)
+
+    def valuation_plan(valued, probe) -> list | None:
+        """(a): the plan less the conjuncts valued decides true, or None
+        when it decides one false."""
+        kept = []
+        for entry in plan:
+            c, depth = entry[1], entry[2]
+            kind = type(c)
+            if depth == 0 or kind is ArbBox or kind is ArbDiamond:
+                holds = _settled(probe, valued, c)
+                if holds is False and kind is not ArbDiamond:
+                    return None
+                if holds and kind is not ArbBox:
+                    continue
+            kept.append(entry)
+        return kept
+
+    def rows_pass(row0: tuple, kept, valued, probe, verdicts) -> bool:
+        """(b): False when a conjunct of depth 1, reached before any update
+        conjunct left to the candidates, is false with s0's rows row0."""
+        rowed = None
+        for i, c, depth, read, group in kept:
+            if depth == 1:
+                key = (i, tuple(row0[j] for j in read))  # near(masks, 1) of a candidate
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    if rowed is None:
+                        rowed = valued._derive(dict(zip(agents, map(rows[0].__getitem__, row0))))
+                    verdict = _settled(probe, rowed, c)
+                    if verdict is None:
+                        return True
+                    verdicts[key] = verdict
+                if not verdict:
+                    return False
+            elif group:
+                return True
+        return True
+
     for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
         valued = base._derive(base.arrows, dict(zip(props, map(state_sets.__getitem__, prop_masks))))
+        probe = core_checker(budget) if settling else None
+        kept = valuation_plan(valued, probe)
+        if kept is None:
+            continue
+        # what a candidate that is not point-generated goes through: the
+        # conjuncts up to the last one with an update, none if there is none
+        filling = kept[: max((k + 1 for k, entry in enumerate(kept) if entry[4] == 1), default=0)]
         verdicts = {}  # (conjunct index, its cut masks) -> verdict, for this valuation
+        fates = {}  # s0's rows -> rows_pass
         for arrow_masks in arrow_tuples:
+            row0 = tuple(map(full.__and__, arrow_masks))
+            passes = fates.get(row0)
+            if passes is None:
+                passes = fates[row0] = rows_pass(row0, kept, valued, probe, verdicts)
+            if not passes:
+                continue
             generated = point_generated(arrow_masks)
             m = None
-            for i, c, depth, read in plan if generated else filling:
+            for i, c, depth, read, _ in kept if generated else filling:
                 key = depth is not None and (i, near([arrow_masks[j] for j in read], depth))
                 verdict = verdicts.get(key)
                 if verdict is None:

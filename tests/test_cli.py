@@ -15,6 +15,7 @@ from aaul import (
     Clause,
     Diamond,
     Iff,
+    Not,
     Or,
     Update,
     UpdateBox,
@@ -31,7 +32,7 @@ from aaul import (
 )
 from aaul import cli
 from aaul.cli import _canonical_candidates, run
-from aaul.syntax import subformulas
+from aaul.syntax import local_depth, subformulas
 from helpers import (
     naive_apply,
     naive_canonical,
@@ -514,13 +515,15 @@ def test_sat_search_cache_changes_no_decision_at_one_size():
 
 def test_sat_search_builds_fewer_evaluators():
     # "<a>p & [a]~p" is unsatisfiable, so every point-generated candidate up
-    # to 3 states is visited; its conjuncts read only the arrows out of s0
+    # to 3 states is visited; its conjuncts read only the arrows out of s0,
+    # so each is decided once per row of s0, by the one evaluator of its
+    # valuation (2 + 4 + 6 canonical valuations), and no candidate is built
     argv = ["sat-search", "<a>p & [a]~p", "--max-states", "3"]
     with _evaluators_built() as cached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
     with _evaluators_built(cache=False) as uncached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
-    assert (len(cached), len(uncached)) == (48, 1092)
+    assert (len(cached), len(uncached)) == (12, 1092)
 
 
 def _generated(arrow_masks, n: int) -> bool:
@@ -563,28 +566,44 @@ def test_sat_search_builds_only_point_generated_models():
         expected = [c for c in canonical if _generated(c[1], n)]
         assert [_masks(asked[0][0], agents, props) for asked in built] == expected
         assert len(expected) < len(canonical)
-    # cached, with [*]/<*> conjuncts and small budgets: a model with a state
-    # s0 cannot reach is built only when some conjunct has an update, is
-    # asked only about quantifier-free conjuncts, and is never returned
+    # cached, with [*]/<*> conjuncts and small budgets: a candidate with a
+    # state s0 cannot reach is built only when some conjunct has an update,
+    # is asked only about quantifier-free conjuncts, and is never returned.
+    # The models that settle a conjunct before the candidates (`_settled`)
+    # hold only arrows out of s0, are asked only about a conjunct of local
+    # depth at most 1 or, without arrows, a top-level [*]/<*>, and are never
+    # returned either
     rng = random.Random(211)
-    filled = 0
+    filled = probed = 0
+    real = cli._settled
     for _ in range(40):
         agents, props, n = rng.choice(((("a",), ("p",), 3), (("a", "b"), ("p",), 2)))
         f = _cache_formula(rng, agents, props)
         conjuncts = cli._conjunct_order(f)
         budget = rng.choice((Budget(), Budget(max_arrow_blocks=2)))
-        with _evaluators_built() as built:
+        probes = []
+        with _evaluators_built() as built, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_settled", lambda check, m, c: probes.append((m, c)) or real(check, m, c))
             try:
                 found = cli._sat_search_n(conjuncts, n, agents, props, budget)
             except AaulError:
                 found = None
         assert found is None or _generated(_masks(found, agents, props)[1], n)
+        assert all(m is not found for m, _ in probes)
+        for m, c in probes:
+            assert c in conjuncts and all(s == "s0" for a in agents for s, _ in m.arrows[a])
+            if local_depth(c) is None:
+                assert isinstance(c, (ArbBox, ArbDiamond)) and not any(m.arrows.values())
+            else:
+                assert local_depth(c) <= 1
+            probed += 1
+        probe_models = {id(m) for m, _ in probes}
         for asked in built:
             for m, g in asked:
-                if not _generated(_masks(m, agents, props)[1], n):
+                if id(m) not in probe_models and not _generated(_masks(m, agents, props)[1], n):
                     assert is_quantifier_free(g) and any(cli._group(c) == 1 for c in conjuncts)
                     filled += 1
-    assert filled >= 10
+    assert filled >= 10 and probed >= 100
 
 
 def test_sat_search_quantified_matches_naive_reference():
@@ -646,6 +665,110 @@ def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
     # the verdict it keeps stands in for the candidates with arrows
     argv[3] = "2"
     assert invoke(argv) == (1, "none up to 2 states\n", "")
+
+
+def _settling_conjunct(rng, agents, props):
+    """A conjunct of a kind that sat-search may settle before looking at a
+    candidate's arrows, or one it may not."""
+    leaf = lambda: random_leaf(rng, props)
+    kind = rng.randrange(7)
+    if kind == 0:  # propositional
+        return rng.choice((Iff, Or, And))(leaf(), leaf())
+    if kind == 1:  # modal depth 1
+        return rng.choice((Box, Diamond))(rng.choice(agents), rng.choice((Or, And))(leaf(), leaf()))
+    if kind in (2, 3):  # an update of depth 0 (body on s0 alone) or 1
+        deep = Not(Not(Not(Not(leaf())))) if rng.random() < 0.3 else leaf()
+        clauses = tuple(
+            Clause(rng.choice((leaf(), deep)), rng.choice(agents), rng.choice((leaf(), deep)))
+            for _ in range(rng.randint(1, 2))
+        )
+        body = leaf() if kind == 2 else rng.choice((Box, Diamond))(rng.choice(agents), leaf())
+        return rng.choice((UpdateBox, UpdateDiamond))(Update(clauses), body)
+    if kind == 4:  # top-level [*]g / <*>g
+        body = random_quantifier_free(rng, rng.randint(0, 2), props, agents)
+        return rng.choice((ArbBox, ArbDiamond))(body)
+    if kind == 5:  # one [*]/<*>, mostly below a connective or a modality
+        return single_quantifier_formula(rng, props, agents)
+    # up to depth 2: one of depth 2 is checked on the candidates, and one
+    # with an update stops the row check before the conjuncts after it
+    return random_quantifier_free(rng, 2, props, agents)
+
+
+def _search_outcome(f, max_states, agents, props, budget):
+    """What sat-search does with f: the model printed, None, or the error."""
+    conjuncts = cli._conjunct_order(f)
+    try:
+        for n in range(1, max_states + 1):
+            found = cli._sat_search_n(conjuncts, n, agents, props, budget)
+            if found is not None:
+                return save_model(found)
+    except AaulError as e:
+        return e
+    return None
+
+
+def test_sat_search_settling_changes_no_decision():
+    """Against the same search with no conjunct settled before the
+    candidates (every `_settled` check refused, so every conjunct goes the
+    way it went before), and against the reference, which checks f whole
+    on every canonical candidate: where the unsettled search decides, the
+    same output; a refusal only where it refuses."""
+    rng = random.Random(20261019)
+    decided = answered = refused = naive_checked = 0
+    real, settles = cli._settled, []
+
+    def counted(check, m, c):
+        settles.append(real(check, m, c))
+        return settles[-1]
+
+    for _ in range(150):
+        agents, props, max_states = rng.choice(
+            ((("a",), ("p",), 3), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 2), (("a",), ("p",), 2))
+        )
+        f = conj([_settling_conjunct(rng, agents, props) for _ in range(rng.randint(1, 4))])
+        budget = rng.choice(
+            (Budget(), Budget(max_arrow_blocks=rng.randint(1, 3)), Budget(max_recursion_depth=rng.randint(1, 4)))
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_settled", counted)
+            settled = _search_outcome(f, max_states, agents, props, budget)
+            mp.setattr(cli, "_settled", lambda check, m, c: None)
+            unsettled = _search_outcome(f, max_states, agents, props, budget)
+        if not isinstance(unsettled, AaulError):
+            assert settled == unsettled, print_formula(f)
+            decided += 1
+        elif not isinstance(settled, AaulError):
+            answered += 1
+        else:
+            refused += 1
+        if max_states < 3:
+            try:
+                found = naive_sat_search(f, max_states, agents, props, budget)
+            except AaulError:
+                if isinstance(settled, str):
+                    m = load_model(settled)
+                    assert naive_eval(m, m.point, f), print_formula(f)
+                continue
+            assert settled == (None if found is None else save_model(found)), print_formula(f)
+            naive_checked += 1
+    assert decided >= 100 and answered >= 5 and refused >= 10 and naive_checked >= 60
+    # checks that settled a conjunct true, false, and that refused
+    assert min(settles.count(True), settles.count(False), settles.count(None)) >= 10
+
+
+def test_run_calls_share_no_state():
+    # the parser is built once per process, so nothing one call parses may
+    # reach the next: neither its options nor a --help
+    f = "<a>p & <a>~p & [*](p | <a>true)"
+    plain = ["sat-search", f, "--max-states", "2"]
+    found = (0, "states: s0 s1\nagent a: s0->s0 s0->s1\nval p: s0\npoint: s0\n", "")
+    assert invoke(plain) == found
+    refused = (2, "", "error: 2 arrow blocks exceed the cap of 1\n")
+    assert invoke(plain + ["--agents", "a,b", "--max-blocks", "1"]) == refused
+    assert invoke(plain) == found
+    assert invoke(["--help"])[0] == 0 and invoke(["sat-search", "--help"])[0] == 0
+    assert invoke(plain) == found
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_help_exits_zero(capsys):
