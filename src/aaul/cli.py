@@ -284,7 +284,7 @@ def _relabel_arrows(relabelling, mask: int) -> int:
     return out
 
 
-def _least_tuples(width: int, count: int, relabel, relabellings):
+def _least_tuples(width: int, count: int, relabel, relabellings, trie=None, low: int = 0):
     """Tuples of `count` masks of `width` bits, in itertools.product order,
     that no relabelling maps to a lexicographically smaller tuple. Each comes
     with the relabellings that map it to itself.
@@ -293,11 +293,20 @@ def _least_tuples(width: int, count: int, relabel, relabellings):
     relabelling makes smaller rules out every tuple it starts, one that a
     relabelling makes larger is safe from it, and only the relabellings that
     fix the prefix are tried on the next mask.
+
+    A trie (nested dicts, one level per mask, keys ascending; None for no
+    filter) keeps only the tuples whose masks' low `low` bits spell a path
+    of it: at each level only the masks hi | r with r a key there are
+    tried, hi and then r ascending, so the order is kept.
     """
     if count == 0:
         yield (), relabellings
         return
-    for mask in range(1 << width):
+    if trie is None:
+        masks = zip(range(1 << width), itertools.repeat(None))
+    else:
+        masks = ((hi | r, below) for hi in range(0, 1 << width, 1 << low) for r, below in trie.items())
+    for mask, below in masks:
         fixing = []
         for r in relabellings:
             moved = relabel(r, mask)
@@ -306,16 +315,42 @@ def _least_tuples(width: int, count: int, relabel, relabellings):
             if moved == mask:
                 fixing.append(r)
         else:
-            for rest, stabiliser in _least_tuples(width, count - 1, relabel, fixing):
+            for rest, stabiliser in _least_tuples(width, count - 1, relabel, fixing, below, low):
                 yield (mask, *rest), stabiliser
 
 
 def _canonical_candidates(n: int, props: int, agents: int):
-    """Each valuation tuple of n-state candidates in canonical form, with
-    an iterator over the arrow tuples that complete it to one."""
+    """Each valuation tuple of n-state candidates in canonical form, with a
+    function from a trie of s0-row tuples (the rows `mask & (2^n - 1)`, one
+    level per agent; None for all) to an iterator over the arrow tuples
+    that complete it to one and whose row tuple is in the trie."""
     for prop_masks, stabiliser in _least_tuples(n, props, _relabel_states, _relabellings(n)):
-        arrow_tuples = _least_tuples(n * n, agents, _relabel_arrows, stabiliser)
-        yield prop_masks, (arrow_masks for arrow_masks, _ in arrow_tuples)
+
+        def arrow_tuples(trie=None, stabiliser=stabiliser):
+            tuples = _least_tuples(n * n, agents, _relabel_arrows, stabiliser, trie, n)
+            return (arrow_masks for arrow_masks, _ in tuples)
+
+        yield prop_masks, arrow_tuples
+
+
+def _row_trie(level: int, rows: list, read, width: int, passes) -> dict | bool:
+    """The trie, one level per agent from `level` on, of the row tuples
+    that start with rows[:level] and pass, or False when none does. Each
+    row of `width` bits is tried at a level in `read`; any other level is
+    judged at row 0 and holds every row over one shared subtrie. Keys
+    ascend at every level."""
+    if level == len(rows):
+        return passes(tuple(rows)) and {}
+    if level not in read:
+        below = _row_trie(level + 1, rows, read, width, passes)
+        return below is not False and dict.fromkeys(range(1 << width), below)
+    node = {}
+    for r in range(1 << width):
+        rows[level] = r
+        below = _row_trie(level + 1, rows, read, width, passes)
+        if below is not False:
+            node[r] = below
+    return node or False
 
 
 def _conjunct_order(f) -> tuple:
@@ -432,15 +467,29 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
     (b) Per s0-row tuple, the rows of s0 (`mask & full`) of every agent. A
     conjunct of local depth 1 reads only s0's rows of the agents it
     mentions, so it is decided on a model that holds just those rows, and
-    its verdict is kept under the same key as (in place of) one evaluated
-    on a candidate. A candidate is rejected before anything else is
-    computed for it when such a conjunct is false and every conjunct before
-    it in the plan is one that (b) decided true or one with neither update
-    nor [*]/<*>: a candidate that the search without (b) would have taken
-    through an update conjunct first still goes that way, so that it keeps
-    the same verdicts for later candidates (as for point generation,
-    above); a conjunct with neither refuses on every candidate or on none,
-    so a verdict of one that is missed costs no refusal.
+    its verdict is kept under the same key as (in place of) one evaluated on
+    a candidate. A row tuple fails when such a conjunct is false and every
+    conjunct before it in the plan is one that (b) decided true or one with
+    neither update nor [*]/<*>: a candidate that the search without (b)
+    would have taken through an update conjunct first still goes that way,
+    so that it keeps the same verdicts for later candidates (as for point
+    generation, above); a conjunct with neither refuses on every candidate
+    or on none, so a verdict of one that is missed costs no refusal. Every
+    row tuple of a valuation is judged before its arrow masks are, and the
+    passing ones make a trie that `_least_tuples` walks: the candidates
+    enumerated are exactly the canonical ones whose row tuple passes, in the
+    same order, and a valuation none passes is skipped. A row tuple's fate
+    reads only the rows of the agents that conjuncts of depth 1 mention, so
+    only those are judged: the level of any other agent holds all its rows
+    over one shared subtrie, judged with that agent's row empty. This also
+    judges row tuples that no canonical candidate has, but only on the
+    per-valuation evaluator, through `_settled`, which swallows their
+    refusals. A key's verdict, or its refusal, on these models is fixed by
+    the key (the model holds the rows the conjunct reads, and no others that
+    it reads), and a refusal is not kept: so each row tuple a candidate has
+    stops at the same conjunct, with the same fate, whatever was judged
+    before it, and an extra verdict kept is the one a candidate's own
+    evaluation gives wherever that decides.
 
     A check of (a) or (b) that refuses decides nothing: the conjunct stays
     in the plan and is checked on the candidates as before, and (b) stops
@@ -553,18 +602,17 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
         kept = valuation_plan(valued, probe)
         if kept is None:
             continue
+        verdicts = {}  # (conjunct index, its cut masks) -> verdict, for this valuation
+        # (b): the trie of the row tuples that pass; a fate reads only the
+        # rows of the agents that conjuncts of depth 1 read
+        shallow = {j for entry in kept if entry[2] == 1 for j in entry[3]}
+        trie = _row_trie(0, [0] * len(agents), shallow, n, lambda row0: rows_pass(row0, kept, valued, probe, verdicts))
+        if trie is False:
+            continue
         # what a candidate that is not point-generated goes through: the
         # conjuncts up to the last one with an update, none if there is none
         filling = kept[: max((k + 1 for k, entry in enumerate(kept) if entry[4] == 1), default=0)]
-        verdicts = {}  # (conjunct index, its cut masks) -> verdict, for this valuation
-        fates = {}  # s0's rows -> rows_pass
-        for arrow_masks in arrow_tuples:
-            row0 = tuple(map(full.__and__, arrow_masks))
-            passes = fates.get(row0)
-            if passes is None:
-                passes = fates[row0] = rows_pass(row0, kept, valued, probe, verdicts)
-            if not passes:
-                continue
+        for arrow_masks in arrow_tuples(trie):
             generated = point_generated(arrow_masks)
             m = None
             for i, c, depth, read, _ in kept if generated else filling:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import random
 
 import pytest
@@ -32,7 +33,7 @@ from aaul import (
 )
 from aaul import cli
 from aaul.cli import _canonical_candidates, run
-from aaul.syntax import local_depth, subformulas
+from aaul.syntax import local_depth, signature, subformulas
 from helpers import (
     naive_apply,
     naive_canonical,
@@ -333,7 +334,7 @@ def test_sat_search_candidates_are_exactly_the_canonical_ones(n, props, agents):
     kept = [
         (prop_masks, arrow_masks)
         for prop_masks, arrow_tuples in _canonical_candidates(n, props, agents)
-        for arrow_masks in arrow_tuples
+        for arrow_masks in arrow_tuples()
     ]
     assert kept == sorted(kept)
     kept = set(kept)
@@ -342,6 +343,68 @@ def test_sat_search_candidates_are_exactly_the_canonical_ones(n, props, agents):
         prop_masks = tuple(rng.randrange(1 << n) for _ in range(props))
         arrow_masks = tuple(rng.randrange(1 << (n * n)) for _ in range(agents))
         assert ((prop_masks, arrow_masks) in kept) == naive_canonical(prop_masks, arrow_masks, n)
+
+
+def _trie(row_tuples) -> dict:
+    """The trie of row tuples, one level per agent, keys ascending."""
+    trie = {}
+    for rows in sorted(row_tuples):
+        node = trie
+        for r in rows:
+            node = node.setdefault(r, {})
+    return trie
+
+
+@pytest.mark.parametrize("n,props,agents", [(2, 2, 2), (3, 2, 1), (3, 0, 2), (4, 1, 1), (3, 1, 0)])
+def test_sat_search_trie_keeps_exactly_the_candidates_whose_rows_it_holds(n, props, agents):
+    rng = random.Random(n * 100 + props * 10 + agents + 1)
+    every = list(itertools.product(range(1 << n), repeat=agents))
+    kept_rows = [{rows for rows in every if rng.random() < 0.5}]
+    if agents == 2:  # no tuple starts with most first rows
+        firsts = set(rng.sample(range(1 << n), 2))
+        kept_rows.append({rows for rows in every if rows[0] in firsts})
+    if agents == 0:  # the trie of the empty tuple has no level
+        kept_rows = [{()}]
+    full = (1 << n) - 1
+    for kept in kept_rows:
+        trie = _trie(kept)
+        for prop_masks, arrow_tuples in _canonical_candidates(n, props, agents):
+            expected = [masks for masks in arrow_tuples() if tuple(m & full for m in masks) in kept]
+            assert list(arrow_tuples(trie)) == expected, (prop_masks, kept)
+
+
+def _arrow_tuples_drawn(f: str, n: int) -> tuple:
+    """(what sat-search finds at n states, the number of arrow tuples it
+    draws from the enumeration there)."""
+    drawn = []
+    real = cli._canonical_candidates
+
+    def counted(*args):
+        for prop_masks, arrow_tuples in real(*args):
+            yield prop_masks, lambda trie=None, tuples=arrow_tuples: (
+                drawn.append(masks) or masks for masks in tuples(trie)
+            )
+
+    f = parse_formula(f)
+    atoms, agents = signature(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_canonical_candidates", counted)
+        found = cli._sat_search_n(cli._conjunct_order(f), n, tuple(sorted(agents)), tuple(sorted(atoms)), Budget())
+    return found, len(drawn)
+
+
+def test_sat_search_draws_only_arrow_tuples_whose_rows_pass():
+    # every row of s0 fails [a]~q or, where that holds, the update's <a>q:
+    # no arrow tuple is drawn (16,640 canonical ones without the trie)
+    assert _arrow_tuples_drawn("<{(p,a,q)}><a>q & [a]~q", 3) == (None, 0)
+    # nothing is drawn before the valuation found, where only the row of s0
+    # to all three states passes: the one tuple drawn is the model (10,888
+    # drawn without the trie)
+    found, drawn = _arrow_tuples_drawn("<a>(p & q) & <a>(p & ~q) & <a>(~p & q)", 3)
+    assert drawn == 1
+    assert save_model(found) == (
+        "states: s0 s1 s2\nagent a: s0->s0 s0->s1 s0->s2\nval p: s0 s1\nval q: s0 s2\npoint: s0\n"
+    )
 
 
 # (agents, props, max states): each search space stays small enough for the
@@ -561,7 +624,7 @@ def test_sat_search_builds_only_point_generated_models():
         canonical = [
             (prop_masks, arrow_masks)
             for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents))
-            for arrow_masks in arrow_tuples
+            for arrow_masks in arrow_tuples()
         ]
         expected = [c for c in canonical if _generated(c[1], n)]
         assert [_masks(asked[0][0], agents, props) for asked in built] == expected
