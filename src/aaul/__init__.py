@@ -3,8 +3,9 @@
 Formulas (syntax) are checked on finite Kripke models (kripke) by a
 truth-set evaluator (checker) that applies updates, which prune arrows, and
 decides the arbitrary-update modalities through bisimulation quotients
-(bisim). On top sits an encoder that reduces plane tiling to satisfiability
-(tiling) and a command line front end (cli).
+(bisim). On top sit a bounded search for a small satisfying model
+(search), an encoder that reduces plane tiling to satisfiability (tiling)
+and a command line front end (cli).
 """
 
 from .bisim import (
@@ -32,6 +33,7 @@ from .errors import (
     UnknownStateError,
 )
 from .kripke import KripkeModel, export_dot, load_model, save_model
+from .search import sat_search
 from .syntax import (
     And,
     ArbBox,

@@ -1,0 +1,407 @@
+"""The bounded satisfiability search (`aaul.search`), called as a library
+and instrumented in place: what it draws, builds and evaluates, and its
+outputs against the reference `naive_sat_search`, which checks f whole on
+every canonical candidate."""
+
+import contextlib
+import io
+import random
+
+import pytest
+
+from aaul import (
+    AaulError,
+    And,
+    ArbBox,
+    ArbDiamond,
+    Box,
+    Budget,
+    Clause,
+    Diamond,
+    Iff,
+    KripkeModel,
+    Not,
+    Or,
+    Update,
+    UpdateBox,
+    UpdateDiamond,
+    UnknownAgentError,
+    conj,
+    load_model,
+    parse_formula,
+    print_formula,
+    sat_search,
+    save_model,
+)
+from aaul import search
+from aaul.cli import run
+from aaul.syntax import local_depth, signature, subformulas
+from helpers import (
+    naive_eval,
+    naive_sat_search,
+    random_leaf,
+    random_quantifier_free,
+    single_quantifier_formula,
+)
+
+
+@contextlib.contextmanager
+def evaluators_built(cache=True):
+    """Counts the evaluators sat-search builds, one per candidate it has to
+    evaluate, each as the list of (model, formula) pairs it is asked
+    about; cache=False turns off deciding a conjunct once per
+    neighbourhood, by giving every conjunct no local depth."""
+    built = []
+    real = search.core_checker
+
+    def counted(budget):
+        check, asked = real(budget), []
+        built.append(asked)
+        return lambda m, f: asked.append((m, f)) or check(m, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "core_checker", counted)
+        if not cache:
+            mp.setattr(search, "local_depth", lambda f: None)
+        yield built
+
+
+def _cache_conjunct(rng, agents, props):
+    kind = rng.randrange(5)
+    if kind == 0:  # propositional
+        return Iff(random_leaf(rng, props), Or(random_leaf(rng, props), random_leaf(rng, props)))
+    if kind == 1:  # modal depth 1 to 3
+        body = random_quantifier_free(rng, rng.randint(0, 2), props, agents)
+        return rng.choice((Box, Diamond))(rng.choice(agents), body)
+    if kind == 2:  # an update whose clause formulas look past the state they judge
+        clauses = tuple(
+            Clause(Diamond(rng.choice(agents), random_leaf(rng, props)), rng.choice(agents),
+                   random_quantifier_free(rng, 1, props, agents))
+            for _ in range(rng.randint(1, 2))
+        )
+        body = random_quantifier_free(rng, rng.randint(0, 2), props, agents)
+        return rng.choice((UpdateBox, UpdateDiamond))(Update(clauses), body)
+    if kind == 3:
+        return single_quantifier_formula(rng, props, agents)
+    # a chain of modalities with a literal at each step, so that the first
+    # model found depends on the arrows two or three steps from s0
+    f = random_leaf(rng, props)
+    for _ in range(rng.randint(2, 3)):
+        f = rng.choice((Box, Diamond, Diamond))(rng.choice(agents), And(random_leaf(rng, props), f))
+    return f
+
+
+def cache_formula(rng, agents, props):
+    return conj([_cache_conjunct(rng, agents, props) for _ in range(rng.randint(1, 3))])
+
+
+def _outcome(f, max_states, agents, props, budget):
+    """What sat-search does with f: the model found as text, None, or the error."""
+    try:
+        found = sat_search(f, max_states, agents, props, budget)
+    except AaulError as e:
+        return e
+    return None if found is None else save_model(found)
+
+
+def test_sat_search_library_entry():
+    found = sat_search(parse_formula("<a>p & <a>~p"), 2)
+    assert save_model(found) == "states: s0 s1\nagent a: s0->s0 s0->s1\nval p: s0\npoint: s0\n"
+    assert sat_search(parse_formula("<a>p & [a]~p"), 2) is None
+    # None stands for the formula's own names, and an empty tuple for none
+    assert save_model(sat_search(parse_formula("p"), 1, agents=("a",))) == (
+        "states: s0\nagent a:\nval p: s0\npoint: s0\n"
+    )
+    assert sat_search(parse_formula("p"), 1, agents=()).agents == ()
+    assert sat_search(parse_formula("p | ~p"), 1, props=()).props == ()
+    with pytest.raises(UnknownAgentError, match="unknown agent 'a'"):
+        sat_search(parse_formula("<a>p"), 1, agents=())
+    with pytest.raises(AaulError, match="over --limit 100"):
+        sat_search(parse_formula("<a>p & [a]~p"), 3, limit=100)
+    with pytest.raises(AaulError, match="--max-states must be at least 1"):
+        sat_search(parse_formula("p"), 0)
+
+
+def test_sat_search_skips_candidates_s0_does_not_reach():
+    # the z clause is needed only by an a-arrow out of a ~p state. Every
+    # candidate whose a-arrows reach such a state fails a conjunct first,
+    # or is one s0 does not reach all of, which is skipped outright
+    f = "<{(~p,a,p & true),(<z>p,a,<z>~p)}><a>~(~p & p) & <{(~~~~false,a,true)}><a>~p & <a><a>true"
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["sat-search", f, "--agents", "a", "--props", "p", "--max-states", "3"], stdout=out, stderr=err)
+    assert (code, out.getvalue(), err.getvalue()) == (1, "none up to 3 states\n", "")
+    # the answer is right: that conjunct alone is unsatisfiable
+    conjunct = parse_formula("<{(~~~~false,a,true)}><a>~p")
+    assert naive_sat_search(conjunct, 3, ("a",), ("p",)) is None
+
+
+def _arrow_tuples_drawn(f: str, n: int) -> tuple:
+    """(what sat-search finds at n states, the number of arrow tuples it
+    draws from the enumeration there)."""
+    drawn = []
+    real = search._canonical_candidates
+
+    def counted(*args):
+        for prop_masks, arrow_tuples in real(*args):
+            yield prop_masks, lambda trie=None, tuples=arrow_tuples: (
+                drawn.append(masks) or masks for masks in tuples(trie)
+            )
+
+    f = parse_formula(f)
+    atoms, agents = signature(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_canonical_candidates", counted)
+        found = search._sat_search_n(search._conjunct_order(f), n, tuple(sorted(agents)), tuple(sorted(atoms)), Budget())
+    return found, len(drawn)
+
+
+def test_sat_search_draws_only_arrow_tuples_whose_rows_pass():
+    # every row of s0 fails [a]~q or, where that holds, the update's <a>q:
+    # no arrow tuple is drawn (16,640 canonical ones without the trie)
+    assert _arrow_tuples_drawn("<{(p,a,q)}><a>q & [a]~q", 3) == (None, 0)
+    # nothing is drawn before the valuation found, where only the row of s0
+    # to all three states passes: the one tuple drawn is the model (10,888
+    # drawn without the trie)
+    found, drawn = _arrow_tuples_drawn("<a>(p & q) & <a>(p & ~q) & <a>(~p & q)", 3)
+    assert drawn == 1
+    assert save_model(found) == (
+        "states: s0 s1 s2\nagent a: s0->s0 s0->s1 s0->s2\nval p: s0 s1\nval q: s0 s2\npoint: s0\n"
+    )
+
+
+def test_sat_search_cache_changes_no_decision_at_one_size():
+    """Each quantifier-free conjunct decided once per neighbourhood of s0
+    gives the decisions of checking it on every candidate, at one size of 2
+    or 3 states, where a conjunct's
+    neighbourhood can leave states out, and under small budgets: where the
+    uncached search decides, the cached one returns the same model; every
+    refusal is kept, unless a cached verdict stands in for an update."""
+    rng = random.Random(13)
+    refused = decided = 0
+    for _ in range(80):
+        agents, props, n = rng.choice(
+            ((("a", "b"), ("p",), 2), (("a",), ("p", "q"), 2), (("a",), ("p",), 3), (("a",), ("p", "q"), 3))
+        )
+        f = cache_formula(rng, agents, props)
+        budget = rng.choice(
+            (Budget(), Budget(max_arrow_blocks=2), Budget(max_recursion_depth=rng.randint(1, 4)))
+        )
+        outcomes = []
+        for cache in (True, False):
+            with evaluators_built(cache):
+                try:
+                    found = search._sat_search_n(search._conjunct_order(f), n, agents, props, budget)
+                    outcomes.append(None if found is None else save_model(found))
+                except AaulError as e:
+                    outcomes.append(e)
+        cached, uncached = outcomes
+        if not isinstance(uncached, AaulError):
+            decided += 1
+            assert cached == uncached, print_formula(f)
+        else:
+            refused += 1
+            updates = any(isinstance(g, (UpdateBox, UpdateDiamond)) for g in subformulas(f))
+            if isinstance(cached, AaulError) or not updates:
+                assert str(cached) == str(uncached), print_formula(f)
+    assert refused >= 10 and decided >= 50
+
+
+def _generated(arrow_masks, n: int) -> bool:
+    """Is every state of the candidate reachable from state 0?"""
+    seen, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for mask in arrow_masks:
+            for j in range(n):
+                if mask >> (i * n + j) & 1 and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+    return len(seen) == n
+
+
+def _masks(m, agents, props):
+    """The candidate masks of a model over states s0..s{n-1}."""
+    n = len(m.states)
+    index = {s: i for i, s in enumerate(m.states)}
+    return (
+        tuple(sum(1 << index[s] for s in m.valuation[p]) for p in props),
+        tuple(sum(1 << (index[s] * n + index[t]) for s, t in m.arrows[a]) for a in agents),
+    )
+
+
+def test_sat_search_builds_only_point_generated_models():
+    # "<a>p & [a]~p" is unsatisfiable, so each size is searched in full, and
+    # uncached each candidate checked gets an evaluator of its own: they are
+    # exactly the canonical candidates whose every state s0 reaches, in order
+    f = parse_formula("<a>p & [a]~p")
+    for agents, props, n in ((("a",), ("p",), 3), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 3)):
+        with evaluators_built(cache=False) as built:
+            assert search._sat_search_n(search._conjunct_order(f), n, agents, props, Budget()) is None
+        assert all(len({m for m, _ in asked}) == 1 for asked in built)
+        canonical = [
+            (prop_masks, arrow_masks)
+            for prop_masks, arrow_tuples in search._canonical_candidates(n, len(props), len(agents))
+            for arrow_masks in arrow_tuples()
+        ]
+        expected = [c for c in canonical if _generated(c[1], n)]
+        assert [_masks(asked[0][0], agents, props) for asked in built] == expected
+        assert len(expected) < len(canonical)
+    # cached, with update and [*]/<*> conjuncts and small budgets: every
+    # candidate built is one s0 generates, whatever its conjuncts. The
+    # models that settle a conjunct before the candidates (`_settled`) hold
+    # only arrows out of s0, are asked only about a conjunct of local depth
+    # at most 1 or, without arrows, a top-level [*]/<*>, and are never
+    # returned
+    rng = random.Random(211)
+    checked = probed = 0
+    real = search._settled
+    for _ in range(40):
+        agents, props, n = rng.choice(((("a",), ("p",), 3), (("a", "b"), ("p",), 2)))
+        f = cache_formula(rng, agents, props)
+        conjuncts = search._conjunct_order(f)
+        budget = rng.choice((Budget(), Budget(max_arrow_blocks=2)))
+        probes = []
+        with evaluators_built() as built, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_settled", lambda check, m, c: probes.append((m, c)) or real(check, m, c))
+            try:
+                found = search._sat_search_n(conjuncts, n, agents, props, budget)
+            except AaulError:
+                found = None
+        assert found is None or _generated(_masks(found, agents, props)[1], n)
+        assert all(m is not found for m, _ in probes)
+        for m, c in probes:
+            assert c in conjuncts and all(s == "s0" for a in agents for s, _ in m.arrows[a])
+            if local_depth(c) is None:
+                assert isinstance(c, (ArbBox, ArbDiamond)) and not any(m.arrows.values())
+            else:
+                assert local_depth(c) <= 1
+            probed += 1
+        probe_models = {id(m) for m, _ in probes}
+        candidates = {id(m): m for asked in built for m, _ in asked if id(m) not in probe_models}
+        assert all(_generated(_masks(m, agents, props)[1], n) for m in candidates.values())
+        checked += len(candidates)
+    assert checked >= 100 and probed >= 100
+
+
+def _settling_conjunct(rng, agents, props):
+    """A conjunct of a kind that sat-search may settle before looking at a
+    candidate's arrows, or one it may not."""
+    leaf = lambda: random_leaf(rng, props)
+    kind = rng.randrange(7)
+    if kind == 0:  # propositional
+        return rng.choice((Iff, Or, And))(leaf(), leaf())
+    if kind == 1:  # modal depth 1
+        return rng.choice((Box, Diamond))(rng.choice(agents), rng.choice((Or, And))(leaf(), leaf()))
+    if kind in (2, 3):  # an update of depth 0 (body on s0 alone) or 1
+        deep = Not(Not(Not(Not(leaf())))) if rng.random() < 0.3 else leaf()
+        clauses = tuple(
+            Clause(rng.choice((leaf(), deep)), rng.choice(agents), rng.choice((leaf(), deep)))
+            for _ in range(rng.randint(1, 2))
+        )
+        body = leaf() if kind == 2 else rng.choice((Box, Diamond))(rng.choice(agents), leaf())
+        return rng.choice((UpdateBox, UpdateDiamond))(Update(clauses), body)
+    if kind == 4:  # top-level [*]g / <*>g
+        body = random_quantifier_free(rng, rng.randint(0, 2), props, agents)
+        return rng.choice((ArbBox, ArbDiamond))(body)
+    if kind == 5:  # one [*]/<*>, mostly below a connective or a modality
+        return single_quantifier_formula(rng, props, agents)
+    # up to depth 2: one of depth 2 is checked on the candidates
+    return random_quantifier_free(rng, 2, props, agents)
+
+
+def test_sat_search_settling_changes_no_decision():
+    """Against the same search with no conjunct settled before the
+    candidates (every `_settled` check refused, so every conjunct goes the
+    way it went before), and against the reference, which checks f whole
+    on every canonical candidate: where the unsettled search decides, the
+    same output; a refusal only where it refuses."""
+    rng = random.Random(20261019)
+    decided = answered = refused = naive_checked = 0
+    real, settles = search._settled, []
+
+    def counted(check, m, c):
+        settles.append(real(check, m, c))
+        return settles[-1]
+
+    for _ in range(150):
+        agents, props, max_states = rng.choice(
+            ((("a",), ("p",), 3), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 2), (("a",), ("p",), 2))
+        )
+        f = conj([_settling_conjunct(rng, agents, props) for _ in range(rng.randint(1, 4))])
+        budget = rng.choice(
+            (Budget(), Budget(max_arrow_blocks=rng.randint(1, 3)), Budget(max_recursion_depth=rng.randint(1, 4)))
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_settled", counted)
+            settled = _outcome(f, max_states, agents, props, budget)
+            mp.setattr(search, "_settled", lambda check, m, c: None)
+            unsettled = _outcome(f, max_states, agents, props, budget)
+        if not isinstance(unsettled, AaulError):
+            assert settled == unsettled, print_formula(f)
+            decided += 1
+        elif not isinstance(settled, AaulError):
+            answered += 1
+        else:
+            refused += 1
+        if max_states < 3:
+            try:
+                found = naive_sat_search(f, max_states, agents, props, budget)
+            except AaulError:
+                if isinstance(settled, str):
+                    m = load_model(settled)
+                    assert naive_eval(m, m.point, f), print_formula(f)
+                continue
+            assert settled == (None if found is None else save_model(found)), print_formula(f)
+            naive_checked += 1
+    assert decided >= 100 and answered >= 5 and refused >= 10 and naive_checked >= 60
+    # checks that settled a conjunct true, false, and that refused
+    assert min(settles.count(True), settles.count(False), settles.count(None)) >= 10
+
+
+def _undeclared_conjunct(rng, agents, props):
+    """A conjunct of up to depth 2 whose update's clause formulas may name
+    the agent z, which no search here declares, or go past a small depth
+    cap."""
+    if rng.random() < 0.3:
+        return random_quantifier_free(rng, 2, props, agents)
+
+    def clause_formula():
+        r = rng.random()
+        if r < 0.3:
+            return rng.choice((Box, Diamond))("z", random_leaf(rng, props))
+        if r < 0.45:
+            return Not(Not(Not(Not(random_leaf(rng, props)))))
+        return random_quantifier_free(rng, 1, props, agents)
+
+    clauses = tuple(
+        Clause(clause_formula(), rng.choice(agents), clause_formula()) for _ in range(rng.randint(1, 2))
+    )
+    body = random_quantifier_free(rng, rng.randint(0, 2), props, agents)
+    return rng.choice((UpdateBox, UpdateDiamond))(Update(clauses), body)
+
+
+def test_sat_search_undeclared_agent_matches_naive_reference():
+    """Clause formulas that name an undeclared agent refuse wherever an
+    arrow needs them. Where the reference decides, the search gives its
+    output; where it refuses, a model the search returns satisfies f, read
+    with z declared and given no arrows: a verdict settled without judging
+    a z clause holds whatever z's arrows are."""
+    rng = random.Random(20261102)
+    decided = answered = 0
+    for _ in range(120):
+        agents, props, max_states = rng.choice(((("a",), ("p",), 3), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 2)))
+        f = conj([_undeclared_conjunct(rng, agents, props) for _ in range(rng.randint(1, 3))])
+        budget = rng.choice((Budget(), Budget(max_recursion_depth=rng.randint(2, 5))))
+        outcome = _outcome(f, max_states, agents, props, budget)
+        try:
+            found = naive_sat_search(f, max_states, agents, props, budget)
+        except AaulError:
+            if isinstance(outcome, str):
+                m = load_model(outcome)
+                m = KripkeModel(m.states, m.agents + ("z",), m.props, m.arrows, m.valuation, m.point)
+                assert naive_eval(m, m.point, f), print_formula(f)
+                answered += 1
+            continue
+        assert outcome == (None if found is None else save_model(found)), print_formula(f)
+        decided += 1
+    assert decided >= 40 and answered >= 15
