@@ -28,8 +28,9 @@ for the agents it reads differ from every earlier union's
 (`_distinct_unions`, which gives the soundness argument). Every union is
 still walked in order, so each skipped one repeats a truth set already
 taken, and the answer, the early exit and every refusal stay the same. A
-body with a nested [*]/<*> reads every agent, unless the model is
-valuation-discrete (no two states agree on every proposition).
+body with a nested [*]/<*> reads every agent, unless the quantified model
+is separated: its coarsest partition is its valuation partition, so that
+no two bisimulation blocks agree on every proposition.
 
 `brute_force_arb_oracle` answers the same question along a deliberately
 different path for differential testing: per-state recursion with no
@@ -126,23 +127,17 @@ def _unions(m: KripkeModel, blocks):
             return
 
 
-def _valuation_discrete(m: KripkeModel) -> bool:
-    """No two states of m agree on every proposition."""
-    return len({tuple(s in m.valuation[p] for p in m.props) for s in m.states}) == len(m.states)
-
-
-def _read_agents(body: Formula, discrete) -> set[str] | None:
+def _read_agents(body: Formula, separated: bool) -> set[str] | None:
     """The agents whose arrows body reads: those of every [c]/<c> and every
     update clause in it, clause formulas included (`signature(body)[1]`,
     found in the one walk that looks for a quantifier). A nested [*]/<*>
-    reads what its body reads when discrete(), asked only then, says the
-    quantified model is valuation-discrete (see `_distinct_unions`); else
-    the result is None, for every agent."""
+    reads what its body reads when the quantified model is separated (see
+    `_distinct_unions`); else the result is None, for every agent."""
     agents = set()
     for g in subformulas(body):
         kind = type(g)
         if kind is ArbBox or kind is ArbDiamond:
-            if not discrete():
+            if not separated:
                 return None
         elif kind is Box or kind is Diamond:
             agents.add(g.agent)
@@ -151,11 +146,14 @@ def _read_agents(body: Formula, discrete) -> set[str] | None:
     return agents
 
 
-def _distinct_unions(m: KripkeModel, blocks, reads):
-    """The items of `_unions(m, blocks)` whose arrows for the agents in
-    reads() differ from those of every earlier item; reads() is the body's
-    `_read_agents`, asked for once, after the walk has drawn its second
-    union, and so after blocks() has passed the cap.
+def _distinct_unions(m: KripkeModel, checked, body: Formula, read: dict):
+    """The items of `_unions(m, blocks)` whose arrows for the agents body
+    reads differ from those of every earlier item. checked() gives m's
+    partition and arrow blocks past the cap (`_checked_blocks`), asked for
+    once the walk goes past the empty union. After the second union, m is
+    judged separated when that partition took no refinement round, and
+    `_read_agents(body, separated)` is kept in `read` under (id(body),
+    separated): one body can be met at models of both kinds.
 
     Soundness, for a [*]/<*> body g. Every union has the root's states and
     valuation, so a quantifier-free g's truth set in it depends only on the
@@ -169,31 +167,42 @@ def _distinct_unions(m: KripkeModel, blocks, reads):
     same point and refuse the same way; and a repeated union is never the
     first to satisfy g, so `witness_update` returns the same update.
 
-    A nested [*]/<*> in g ranges over the unions of its submodel's arrow
-    blocks, which come from a partition that every agent's arrows shape;
-    so such a g reads every agent, unless m is valuation-discrete. Then
-    (1) every state is its own partition block in every submodel, so each
-    arrow is its own block, the nested range at a union V is every subset
-    of V's arrows, and the nested truth set depends only on V's arrows for
-    the agents its body reads. (2) No nested block cap can refuse: every
-    model derived inside has a subset of m's arrows, and m's blocks, one
-    per arrow, passed the cap before reads() was asked (the empty union,
-    evaluated before that, is never skipped). (3) Two unions with equal
-    read arrows have the same read blocks in the same relative order, so
-    their nested walks evaluate the same distinct read sets in the same
-    order, with the same recursion refusals, early exits and witnesses.
+    A nested [*]/<*> in g ranges over the unions of the arrow blocks of the
+    model it meets. Let P be m's partition. (i) P is a bisimulation of
+    every union V of m's blocks (a block holds all its agent's arrows from
+    one P-block to another) and of every model an update inside g derives
+    from one, since clause formulas' truth sets are closed under it. So a
+    derived model's arrows are a union of m's blocks, its partition is P or
+    coarser, and it has no more blocks than m: no nested cap can refuse
+    once m's passed. How a coarser partition merges m's blocks depends on
+    every agent's arrows, so in general g reads every agent. (ii) If m is
+    separated (P is its valuation partition: refinement took no round),
+    every derived partition lies between P and the valuation partition, so
+    it is P, numbered the same (by first state). A derived model's arrow
+    blocks are then exactly its chosen blocks of m, in m's order, its
+    nested range is every sub-union of them, and the nested truth set
+    depends only on its arrows for the agents the nested body reads.
+    (3) Two unions with equal read arrows have the same read blocks in the
+    same relative order, so their nested walks evaluate the same distinct
+    read sets in the same order, with the same recursion refusals, early
+    exits and witnesses. The empty union, evaluated before the read agents
+    are asked for, is never skipped. A valuation-discrete m is the special
+    case where P is discrete.
 
     Every union is still drawn from `_unions`, in its order; only the
     body's evaluation is skipped.
     """
-    unions = _unions(m, blocks)
+    part = []  # m's partition, once the walk has asked for the blocks
+    unions = _unions(m, lambda: part.append(checked()) or part[0][1])
     first = next(unions)
     yield first
-    second = next(unions, None)  # calls blocks(), which raises over the cap
+    second = next(unions, None)  # calls checked(), which raises over the cap
     if second is None:
         return
-    read = reads()
-    agents = m.agents if read is None else tuple(a for a in m.agents if a in read)
+    key = (id(body), part[0][0].rounds == 0)
+    if key not in read:
+        read[key] = _read_agents(body, key[1])
+    agents = m.agents if read[key] is None else tuple(a for a in m.agents if a in read[key])
     unions = itertools.chain((second,), unions)
     if len(agents) == len(m.agents):
         yield from unions  # every union differs on some agent's arrows
@@ -277,7 +286,8 @@ class _Evaluator:
     update is deterministic. <*>g walks the unions in the order [*] does,
     behind the same cap, and stops once g holds somewhere on every state,
     exactly where ~[*]~g would stop. Both evaluate g only on the unions
-    `_distinct_unions` keeps, with g's read agents found once per node.
+    `_distinct_unions` keeps, with g's read agents found once per node
+    and kind of model.
 
     One evaluator serves one `core_checker`. Every model it sees is the root
     or a union or update derived from it, with the root's states, valuation
@@ -296,21 +306,7 @@ class _Evaluator:
         self.interned: dict = {}
         self.chains: dict = {}
         self.read: dict = {}
-        self.model = self.memo = self.states = self.discrete = None
-
-    def reads(self, m: KripkeModel, f: Formula) -> set[str] | None:
-        """`_read_agents` of a [*]/<*> node's body, once per node. Every
-        model of one check has the root's valuation, so it is judged
-        valuation-discrete at most once, and only for a nested quantifier."""
-        key = id(f)
-        if key not in self.read:
-            self.read[key] = _read_agents(f.body, lambda: self.discreteness(m))
-        return self.read[key]
-
-    def discreteness(self, m: KripkeModel) -> bool:
-        if self.discrete is None:
-            self.discrete = _valuation_discrete(m)
-        return self.discrete
+        self.model = self.memo = self.states = None
 
     def truth_set(self, m: KripkeModel, f: Formula, depth: int) -> frozenset[str]:
         if depth > self.budget.max_recursion_depth:
@@ -358,8 +354,8 @@ class _Evaluator:
             box = kind is ArbBox
             out = states if box else frozenset()
             if not (box and type(f.body) is Top):
-                blocks = lambda: _checked_blocks(m, self.budget)[1]
-                unions = _distinct_unions(m, blocks, lambda: self.reads(m, f))
+                checked = lambda: _checked_blocks(m, self.budget)
+                unions = _distinct_unions(m, checked, f.body, self.read)
                 for _, sub in unions:
                     got = self.truth_set(sub, f.body, depth + 1)
                     out = out & got if box else out | got
@@ -417,8 +413,7 @@ def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFA
     m.state_index(state)
     checked = functools.cache(lambda: _checked_blocks(m, budget))
     check = core_checker(budget)
-    reads = lambda: _read_agents(f.body, lambda: _valuation_discrete(m))
-    for chosen, sub in _distinct_unions(m, lambda: checked()[1], reads):
+    for chosen, sub in _distinct_unions(m, checked, f.body, {}):
         if state in check(sub, f.body):
             return _materialize_update(m, checked, chosen)
     return None

@@ -44,7 +44,13 @@ def sat_search(
     models come first, and within one size the order of `_sat_search_n`.
     `limit` caps the candidates summed over the sizes tried, and the
     entries of each size's relabelling table; going over it, or over
-    `budget` on some candidate, raises `AaulError`."""
+    `budget` on some candidate, raises `AaulError`.
+
+    The model found is checked against f whole, as `satisfies` would, and
+    a refusal there refuses the search: a verdict settled on a probe may
+    leave out a clause formula the whole check judges (one that names an
+    undeclared agent, say), so no model is returned that the checker
+    refuses on."""
     atoms, agents_used = signature(f)
     agents = tuple(sorted(agents_used)) if agents is None else tuple(agents)
     props = tuple(sorted(atoms)) if props is None else tuple(props)
@@ -68,6 +74,8 @@ def sat_search(
             )
         found = _sat_search_n(conjuncts, n, agents, props, budget)
         if found is not None:
+            holds = core_checker(budget)(found, f)  # raises where the checker refuses
+            assert found.point in holds
             return found
     return None
 

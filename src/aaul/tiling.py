@@ -24,15 +24,18 @@ cells with wrap-around direction arrows, plus the origin hub. The grid
 geometry is `STEPS`, and `_meets` is the one side-matching rule that the
 tiling check and the solver share. The quantified conjuncts decide under
 the default budget on the 1x1 torus (8 arrow blocks) and on the plain 2x2
-torus (15 blocks), the nested ones (propd_*, return_*) slowly on the 2x2
-torus. The 1x1 torus is valuation-discrete, so there their outer
-quantifier evaluates its body once per set of arrows it reads (see
+torus (15 blocks). Both tori are separated (their partition is their
+valuation partition), so the outer quantifier of a nested part (propd_*,
+return_*) evaluates its body once per set of arrows it reads (see
 checker), not on every union. On the 1x1 torus of a self-matching tile
 every part holds except return_u/d/l/r: there each direction's
 successor of the cell is the cell itself, so no update can unmark the
-cell while keeping its successor marked. With one private proposition per
-cell (`cell_props`) the 2x2 torus has 29 arrow blocks, and the default
-budget refuses them.
+cell while keeping its successor marked. On the plain 2x2 torus of the
+alternating instance every part holds except return_u/d: vertical
+neighbours carry the same tile and are bisimilar, so no quantifier-free
+update can unmark a cell while keeping its u- or d-successor marked.
+With one private proposition per cell (`cell_props`) the 2x2 torus has 29
+arrow blocks, and the default budget refuses them.
 """
 
 from __future__ import annotations

@@ -605,9 +605,9 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
     # runs must give the same truth sets, refusals and witnesses, and every
     # answer must match naive_eval. Updates also name an agent the model
     # does not declare (z). Both runs draw the same unions unless a nested
-    # walk can be skipped: on a valuation-discrete model, when f holds a
-    # quantifier (nested under the witness's <*>), the skipping run may draw
-    # fewer.
+    # walk can be skipped: on a separated model (partition = valuation
+    # partition), when f holds a quantifier (nested under the witness's
+    # <*>), the skipping run may draw fewer.
     drawn, calls = _record(monkeypatch)
     skipping = checker._read_agents
     budgets = [Budget(max_arrow_blocks=cap, max_recursion_depth=200) for cap in (1, 2, 4, 8)]
@@ -630,7 +630,7 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
             f = rng.choice((ArbBox, ArbDiamond))(rng.choice((UpdateBox, UpdateDiamond))(u, g))
         for budget in budgets:
             runs = []
-            for read in (skipping, lambda body, discrete: None):
+            for read in (skipping, lambda body, separated: None):
                 monkeypatch.setattr(checker, "_read_agents", read)
                 got = _answer(truth_set, m, f, budget)
                 witness = _answer(witness_update, m, m.point, ArbDiamond(f), budget)
@@ -638,7 +638,7 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
                 drawn.clear()
                 calls.clear()
             assert runs[0][:2] == runs[1][:2] and runs[0][3] <= runs[1][3]
-            if checker._valuation_discrete(m) and not is_quantifier_free(f):
+            if coarsest_partition(m).rounds == 0 and not is_quantifier_free(f):
                 assert runs[0][2] <= runs[1][2]
             else:
                 assert runs[0][2] == runs[1][2]
@@ -661,6 +661,22 @@ def _discrete_model(rng, agents):
     return KripkeModel(states, agents, ("p", "q"), arrows, valuation, point=states[0])
 
 
+def _separated_model(rng, agents):
+    """A `_discrete_model` plus a copy of 1-2 of its states: each copy has
+    its original's valuation and outgoing arrows, and takes some of the
+    arrows into its original. A copy is bisimilar to its original, so the
+    partition is the valuation partition, and it is not discrete."""
+    m = _discrete_model(rng, agents)
+    copies = {s: f"c{s}" for s in rng.sample(m.states, rng.randint(1, 2))}
+    arrows = {a: set(m.arrows[a]) for a in agents}
+    for a in agents:
+        arrows[a] |= {(s, copies[t]) for s, t in m.arrows[a] if t in copies and rng.random() < 0.5}
+        arrows[a] |= {(copies[s], t) for s, t in arrows[a] if s in copies}
+    valuation = {p: m.valuation[p] | {copies[s] for s in m.valuation[p] if s in copies} for p in m.props}
+    states = m.states + tuple(copies.values())
+    return KripkeModel(states, agents, m.props, arrows, valuation, point=m.point)
+
+
 def _nested_body(rng, agents, named):
     """A body holding a nested [*]/<*>, in a subformula or in an update
     clause formula, whose modalities name only `agents`."""
@@ -676,40 +692,46 @@ def _nested_body(rng, agents, named):
 
 
 def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
-    # On a valuation-discrete model a body with a nested [*]/<*> reads only
-    # the agents of its modalities and update clauses. Forcing the read set
-    # to every agent must give the same truth sets, refusals and witnesses,
-    # and the answers must match naive_eval, which enumerates every range.
+    # On a separated model (partition = valuation partition) a body with a
+    # nested [*]/<*> reads only the agents of its modalities and update
+    # clauses. Two families: valuation-discrete models, and separated ones
+    # that are not discrete. Forcing the read set to every agent must give
+    # the same truth sets, refusals and witnesses, and the answers must
+    # match naive_eval, which enumerates every range.
     _, calls = _record(monkeypatch)
     skipping = checker._read_agents
     budgets = [Budget(max_arrow_blocks=cap, max_recursion_depth=200) for cap in (1, 2, 4, 8)]
     budgets.append(Budget(max_arrow_blocks=8, max_recursion_depth=4))
-    rng = random.Random(131)
-    answers = refusals = naive_checked = fired = 0
-    for _ in range(160):
-        agents = ("a", "b", "c")[: rng.randint(2, 3)]
-        m = _discrete_model(rng, agents)
-        assert checker._valuation_discrete(m)
-        read = tuple(rng.sample(agents, rng.randint(1, len(agents) - 1)))
-        body = _nested_body(rng, read, read + ("z",))
-        f = rng.choice((ArbBox, ArbDiamond))(body)
-        for budget in budgets:
-            runs = []
-            for reads in (skipping, lambda body, discrete: None):
-                monkeypatch.setattr(checker, "_read_agents", reads)
-                got = _answer(truth_set, m, f, budget)
-                witness = _answer(witness_update, m, m.point, ArbDiamond(body), budget)
-                runs.append((got, witness, len(calls), sum(g is body for g in calls)))
-                calls.clear()
-            assert runs[0][:2] == runs[1][:2] and runs[0][2] <= runs[1][2] and runs[0][3] <= runs[1][3]
-            fired += runs[0][3] < runs[1][3]  # the outer walk skipped a body with a nested quantifier
-            got = runs[0][0]
-            answers += isinstance(got, frozenset)
-            refusals += not isinstance(got, frozenset)
-            if isinstance(got, frozenset) and sum(map(len, m.arrows.values())) <= 5 and budget is budgets[-2]:
-                assert got == {s for s in m.states if naive_eval(m, s, f)}
-                naive_checked += 1
-    assert answers >= 300 and refusals >= 300 and naive_checked >= 100 and fired >= 200
+    for family, seed in ((_discrete_model, 131), (_separated_model, 137)):
+        rng = random.Random(seed)
+        answers = refusals = naive_checked = fired = 0
+        for _ in range(160):
+            agents = ("a", "b", "c")[: rng.randint(2, 3)]
+            m = family(rng, agents)
+            part = coarsest_partition(m)
+            valuations = {tuple(s in m.valuation[p] for p in m.props) for s in m.states}
+            assert part.rounds == 0 and (len(valuations) == len(m.states)) is (family is _discrete_model)
+            read = tuple(rng.sample(agents, rng.randint(1, len(agents) - 1)))
+            body = _nested_body(rng, read, read + ("z",))
+            f = rng.choice((ArbBox, ArbDiamond))(body)
+            for budget in budgets:
+                runs = []
+                for reads in (skipping, lambda body, separated: None):
+                    monkeypatch.setattr(checker, "_read_agents", reads)
+                    got = _answer(truth_set, m, f, budget)
+                    witness = _answer(witness_update, m, m.point, ArbDiamond(body), budget)
+                    runs.append((got, witness, len(calls), sum(g is body for g in calls)))
+                    calls.clear()
+                assert runs[0][:2] == runs[1][:2] and runs[0][2] <= runs[1][2] and runs[0][3] <= runs[1][3]
+                fired += runs[0][3] < runs[1][3]  # the outer walk skipped a body with a nested quantifier
+                got = runs[0][0]
+                answers += isinstance(got, frozenset)
+                refusals += not isinstance(got, frozenset)
+                # for a discrete model the block count is the arrow count
+                if isinstance(got, frozenset) and len(arrow_blocks(m, part)) <= 5 and budget is budgets[-2]:
+                    assert got == {s for s in m.states if naive_eval(m, s, f)}
+                    naive_checked += 1
+        assert answers >= 300 and refusals >= 300 and naive_checked >= 100 and fired >= 200, family
 
 
 # Each read-set rule the skip depends on, on a model where breaking it skips a
@@ -757,7 +779,8 @@ def test_nested_tiling_conjuncts_walk_their_read_agents(monkeypatch):
     # the blocks, so it evaluates its body on 32 of the 256 unions.
     inst = parse_tiles("tile T N=c E=c S=c W=c\n")
     m = build_torus_model(inst, find_periodic_tiling(inst, 1))
-    assert checker._valuation_discrete(m) and len(arrow_blocks(m, coarsest_partition(m))) == 8
+    part = coarsest_partition(m)
+    assert part.rounds == 0 and len(part.blocks) == len(m.states) and len(arrow_blocks(m, part)) == 8
     named = encode_parts(inst).named()
     _, evaluated = _record(monkeypatch)
     for name, expected in (("propd_u", True), ("return_u", False)):

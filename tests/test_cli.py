@@ -286,6 +286,17 @@ def test_sat_search_empty_names_are_none():
     assert invoke(["sat-search", "p | ~p", "--props", "", "--max-states", "1"]) == (0, "states: s0\npoint: s0\n", "")
 
 
+def test_sat_search_refuses_where_check_refuses():
+    # the probe on the arrowless model settles <{(true,a,[z]false)}>true
+    # without judging its clause, and the one-state a-loop passes every
+    # conjunct; checking f whole on that model judges the clause, and z is
+    # not declared, so the search refuses as check does
+    f = "<{(~~~~~p,a,<z>true)}>[{(p,a,true)}]p & <{(true,a,[z]false)}>true & <a>true"
+    refusal = (2, "", "error: unknown agent 'z'\n")
+    assert invoke(["sat-search", f, "--agents", "a", "--max-states", "2"]) == refusal
+    assert invoke(["check", "-", f], stdin_text="states: s0\nagent a: s0->s0\npoint: s0\n") == refusal
+
+
 def test_sat_search_quantified():
     # needs a state with an a-arrow that survives every update: impossible
     code, out, _ = invoke(["sat-search", "[*]<a>true", "--max-states", "2"])

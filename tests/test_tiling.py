@@ -362,6 +362,31 @@ def test_unnested_quantified_conjuncts_on_plain_torus():
     assert {name: satisfies(m, "s0", named[name]) for name in unnested} == UNNESTED_ON_PLAIN_TORUS
 
 
+# The nested conjuncts on the same torus. Its partition is its valuation
+# partition (3 blocks), so each outer [*] evaluates its body once per set of
+# arrows it reads. Vertical neighbours carry the same tile and are
+# bisimilar, so no quantifier-free update can unmark a cell while its u- or
+# d-successor stays marked: return_u and return_d are False.
+NESTED_ON_PLAIN_TORUS = {
+    f"{part}_{x}": not (part == "return" and x in ("u", "d")) for part in ("propd", "return") for x in DIRECTIONS
+}
+
+
+def test_nested_quantified_conjuncts_on_plain_torus():
+    inst = parse_tiles(ALTERNATING)
+    m = build_torus_model(inst, find_periodic_tiling(inst, 2))
+    part = coarsest_partition(m)
+    assert part.rounds == 0 and len(part.blocks) == 3 and len(arrow_blocks(m, part)) == 15
+    named = encode_parts(inst).named()
+    nested = {
+        name
+        for name, f in named.items()
+        if any(not is_quantifier_free(g.body) for g in subformulas(f) if isinstance(g, (ArbBox, ArbDiamond)))
+    }
+    assert nested == set(NESTED_ON_PLAIN_TORUS)
+    assert {name: satisfies(m, "s0", named[name]) for name in nested} == NESTED_ON_PLAIN_TORUS
+
+
 # On the 1x1 self-tiling torus every named part holds but return_u/d/l/r.
 # There each direction's successor of the cell is the cell itself, so no
 # quantifier-free update can unmark the cell (take its a-loop) while keeping
