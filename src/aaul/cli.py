@@ -218,8 +218,10 @@ def _names(text: str | None) -> tuple | None:
 
 
 def _sat_search(args, out) -> int:
-    f = parse_formula(args.formula)
-    found = sat_search(f, args.max_states, _names(args.agents), _names(args.props), _budget(args), args.limit)
+    f, budget = parse_formula(args.formula), _budget(args)
+    if args.max_states < 1:
+        raise AaulError("--max-states must be at least 1")
+    found = sat_search(f, args.max_states, _names(args.agents), _names(args.props), budget, args.limit)
     if found is None:
         out.write(f"none up to {args.max_states} states\n")
         return 1

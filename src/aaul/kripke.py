@@ -28,15 +28,30 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _ARROW_RE = re.compile(r"([A-Za-z0-9_]+)->([A-Za-z0-9_]+)\Z")
 
 
-def _check_names(kind: str, names) -> tuple[str, ...]:
+class _DeclarationError(ValueError):
+    """A model the constructor refuses, and the declaration at fault, keyed
+    as a model file's line heads it: ("states",), ("agent", a), ("val", p)
+    or ("point",)."""
+
+    def __init__(self, message: str, declaration: tuple[str, ...]):
+        super().__init__(message)
+        self.declaration = declaration
+
+
+def _check_names(kind: str, names, keyword: str) -> tuple[str, ...]:
+    """names as a tuple, each of them well formed and new; a bad name is
+    blamed on the `keyword` line that declares it."""
     names = tuple(names)
     seen = set()
     for n in names:
         if not isinstance(n, str) or not _NAME_RE.match(n):
-            raise ValueError(f"bad {kind} name {n!r}: use [A-Za-z0-9_]+")
-        if n in seen:
-            raise ValueError(f"duplicate {kind} name {n!r}")
-        seen.add(n)
+            problem = f"bad {kind} name {n!r}: use [A-Za-z0-9_]+"
+        elif n in seen:
+            problem = f"duplicate {kind} name {n!r}"
+        else:
+            seen.add(n)
+            continue
+        raise _DeclarationError(problem, (keyword,) if keyword == "states" else (keyword, n))
     return names
 
 
@@ -50,37 +65,37 @@ class KripkeModel:
     point: str | None = None
 
     def __post_init__(self):
-        states = _check_names("state", self.states)
-        agents = _check_names("agent", self.agents)
-        props = _check_names("proposition", self.props)
+        states = _check_names("state", self.states, "states")
+        agents = _check_names("agent", self.agents, "agent")
+        props = _check_names("proposition", self.props, "val")
         if not states:
-            raise ValueError("a model needs at least one state")
+            raise _DeclarationError("a model needs at least one state", ("states",))
         state_set = set(states)
 
         for a in self.arrows:
             if a not in agents:
-                raise ValueError(f"arrows given for undeclared agent {a!r}")
+                raise _DeclarationError(f"arrows given for undeclared agent {a!r}", ("agent", a))
         arrows = {}
         for a in agents:
             pairs = frozenset(tuple(p) for p in self.arrows.get(a, ()))
             for s, t in pairs:
                 if s not in state_set or t not in state_set:
-                    raise ValueError(f"arrow {s}->{t} for agent {a!r} leaves declared states")
+                    raise _DeclarationError(f"arrow {s}->{t} for agent {a!r} leaves declared states", ("agent", a))
             arrows[a] = pairs
 
         for p in self.valuation:
             if p not in props:
-                raise ValueError(f"valuation given for undeclared proposition {p!r}")
+                raise _DeclarationError(f"valuation given for undeclared proposition {p!r}", ("val", p))
         valuation = {}
         for p in props:
             holds = frozenset(self.valuation.get(p, ()))
             bad = holds - state_set
             if bad:
-                raise ValueError(f"valuation of {p!r} mentions unknown state {sorted(bad)[0]!r}")
+                raise _DeclarationError(f"valuation of {p!r} mentions unknown state {sorted(bad)[0]!r}", ("val", p))
             valuation[p] = holds
 
         if self.point is not None and self.point not in state_set:
-            raise ValueError(f"point {self.point!r} is not a declared state")
+            raise _DeclarationError(f"point {self.point!r} is not a declared state", ("point",))
 
         self._seal(states, agents, props, arrows, valuation, self.point, {s: i for i, s in enumerate(states)})
 
@@ -145,6 +160,9 @@ class KripkeModel:
 
 
 def load_model(text: str) -> KripkeModel:
+    """The model a text declares. A malformed line is named as it is read;
+    a model the constructor refuses, at the line of the declaration at
+    fault; a missing states line, at the last line."""
     states = None
     agents: list[str] = []
     props: list[str] = []
@@ -152,6 +170,7 @@ def load_model(text: str) -> KripkeModel:
     valuation: dict[str, list[str]] = {}
     point = None
     point_seen = False
+    declared: dict[tuple[str, ...], int] = {}  # the line of each declaration, by its head
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -162,6 +181,7 @@ def load_model(text: str) -> KripkeModel:
             raise ModelFormatError(f"expected 'keyword:' in {line!r}", lineno)
         keyword = head.split()
         body = rest.split()
+        declared[tuple(keyword)] = lineno
 
         if keyword == ["states"]:
             if states is not None:
@@ -199,12 +219,13 @@ def load_model(text: str) -> KripkeModel:
         else:
             raise ModelFormatError(f"unknown declaration {head.strip()!r}", lineno)
 
+    last = max(1, len(text.splitlines()))
     if states is None:
-        raise ModelFormatError("missing states line", max(1, text.count("\n") + 1))
+        raise ModelFormatError("missing states line", last)
     try:
         return KripkeModel(tuple(states), tuple(agents), tuple(props), arrows, valuation, point)
-    except ValueError as e:
-        raise ModelFormatError(str(e), max(1, text.count("\n") + 1)) from None
+    except _DeclarationError as e:
+        raise ModelFormatError(str(e), declared.get(e.declaration, last)) from None
 
 
 def save_model(m: KripkeModel) -> str:

@@ -55,7 +55,7 @@ def sat_search(
     agents = tuple(sorted(agents_used)) if agents is None else tuple(agents)
     props = tuple(sorted(atoms)) if props is None else tuple(props)
     if max_states < 1:
-        raise AaulError("--max-states must be at least 1")
+        raise AaulError("max_states must be at least 1")
     conjuncts = _conjunct_order(f)
 
     seen = 0
@@ -63,14 +63,14 @@ def sat_search(
         count = (1 << (n * len(props))) * (1 << (n * n * len(agents)))
         if seen + count > limit:
             raise AaulError(
-                f"search space at {n} states needs {count} candidates, over --limit {limit}"
+                f"search space at {n} states needs {count} candidates, over limit {limit}"
             )
         seen += count
         # the relabellings other than the identity, each a 2^n-entry table
         table = (math.factorial(n - 1) - 1) << n
         if table > limit:
             raise AaulError(
-                f"relabelling table at {n} states needs {table} entries, over --limit {limit}"
+                f"relabelling table at {n} states needs {table} entries, over limit {limit}"
             )
         found = _sat_search_n(conjuncts, n, agents, props, budget)
         if found is not None:

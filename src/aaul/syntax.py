@@ -1,8 +1,9 @@
 """Formula syntax: AST, parser, printer, and formula walks.
 
-The concrete grammar, in decreasing binding strength:
+The concrete grammar, in decreasing binding strength (`_OPERATORS` and
+`_MODALITIES` state it for the tokenizer, the parser and the printer):
 
-    unary  :  ~f   [a]f   <a>f   [{(f,a,f),...}]f   <{...}>f   [*]f   <*>f
+    prefix :  ~f   [a]f   <a>f   [{(f,a,f),...}]f   <{...}>f   [*]f   <*>f
     &      (right associative)
     |      (right associative)
     ->     (right associative)
@@ -193,8 +194,9 @@ BOT = Bot()
 
 
 def _parts(f: Formula) -> tuple[tuple, tuple[Formula, ...]]:
-    """(f's own data, f's child formulas), for == and hash: equal data
-    means the same node kind with the same number of children."""
+    """(f's own data, f's child formulas in reading order), the one
+    statement of each node kind's shape: equal data means the same node
+    kind with the same number of children."""
     kind = type(f)
     if kind is Atom:
         return (kind, f.name), ()
@@ -208,7 +210,9 @@ def _parts(f: Formula) -> tuple[tuple, tuple[Formula, ...]]:
         return (kind,), (f.body,)
     if kind is Top or kind is Bot:
         return (kind,), ()
-    return (kind,), (f.left, f.right)
+    if kind is And or kind is Or or kind is Implies or kind is Iff:
+        return (kind,), (f.left, f.right)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _fold_right(node, parts, empty: Formula | None = None) -> Formula:
@@ -243,141 +247,117 @@ def flatten_conj(f: Formula, kind: type = And) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-# ---------------------------------------------------------------- tokenizer
+# ------------------------------------------------------------------ grammar
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<IFF><->)
-  | (?P<ARBBOX>\[\*\])
-  | (?P<ARBDIA><\*>)
-  | (?P<IMP>->)
-  | (?P<IDENT>[A-Za-z0-9_]+)
-  | (?P<LBRACK>\[) | (?P<RBRACK>\])
-  | (?P<LANGLE><)  | (?P<RANGLE>>)
-  | (?P<LPAREN>\() | (?P<RPAREN>\))
-  | (?P<LBRACE>\{) | (?P<RBRACE>\})
-  | (?P<COMMA>,) | (?P<AMP>&) | (?P<PIPE>\|) | (?P<TILDE>~)
-    """,
-    re.VERBOSE,
+_PREFIX = 5  # the precedence of a prefix operator: tighter than any binary one
+
+# (symbol, precedence, node); the binary operators fold to the right
+_OPERATORS = (
+    ("<->", 1, Iff), ("->", 2, Implies), ("|", 3, Or), ("&", 4, And),
+    ("~", _PREFIX, Not), ("[*]", _PREFIX, ArbBox), ("<*>", _PREFIX, ArbDiamond),
+)
+# the prefix operators with a label, by opening bracket: the closing bracket,
+# the node with an agent label and the node with an update label
+_MODALITIES = {"[": ("]", Box, UpdateBox), "<": (">", Diamond, UpdateDiamond)}
+_CONSTANTS = {"true": TOP, "false": BOT}
+
+_BINARY = {symbol: (prec, node) for symbol, prec, node in _OPERATORS if prec < _PREFIX}
+_PREFIXES = {symbol: node for symbol, prec, node in _OPERATORS if prec == _PREFIX}
+_SYMBOLS = {symbol for symbol, _, _ in _OPERATORS} | set("[]<>(){},")
+_NAME = re.compile(r"[A-Za-z0-9_]+")
+# one token per match: a symbol, a name, or a stray character
+_TOKEN = re.compile(
+    r"\s*(%s|%s|\S)" % ("|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))), _NAME.pattern)
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "WS":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+def _offset(text: str, i: int) -> int:
+    """Where text's i-th token starts; the end of text past the last one."""
+    starts = [m.start(1) for m in _TOKEN.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
 
 class _Parser:
+    """Recursive descent on prefix operators and parentheses, one loop per
+    precedence level on binary operators. Each token is its own kind: a
+    symbol, or a name when it is no symbol; "" is the end of the input."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        tokens = _TOKEN.findall(text)
+        stray = {t for t in set(tokens) - _SYMBOLS if not _NAME.match(t)}
+        if stray:
+            i = next(i for i, t in enumerate(tokens) if t in stray)
+            raise ParseError(f"unexpected character {tokens[i]!r}", _offset(text, i))
+        self.text, self.size = text, len(tokens) + 1
+        self.rest = ["", *reversed(tokens)]  # the tokens still to read, the next last
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
+    def error(self, message: str, ahead: int = 0) -> ParseError:
+        """A ParseError at the token last read, or `ahead` tokens past it."""
+        i = min(self.size - len(self.rest) - 1 + ahead, self.size - 1)
+        return ParseError(message, _offset(self.text, i))
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def expect(self, symbol: str):
+        found = self.rest.pop()
+        if found != symbol:
+            raise self.error(f"expected {symbol!r}, found {found or 'end of input'!r}")
 
-    def expect(self, kind: str, what: str) -> str:
-        k, value, pos = self.next()
-        if k != kind:
-            raise ParseError(f"expected {what}, found {value or 'end of input'!r}", pos)
-        return value
+    def name(self) -> str:
+        found = self.rest.pop()
+        if not found or found in _SYMBOLS:
+            raise self.error(f"expected an agent name, found {found or 'end of input'!r}")
+        return found
 
-    def done(self, what: str):
-        k, value, pos = self.tokens[self.i]
-        if k != "EOF":
-            raise ParseError(f"trailing input after {what}: {value!r}", pos)
-
-    # precedence ladder, loosest first
-
-    def formula(self) -> Formula:
-        return self.chain(self.imp, "IFF", Iff)
-
-    def imp(self) -> Formula:
-        return self.chain(self.or_, "IMP", Implies)
-
-    def or_(self) -> Formula:
-        return self.chain(self.and_, "PIPE", Or)
-
-    def and_(self) -> Formula:
-        return self.chain(self.unary, "AMP", And)
-
-    def chain(self, operand, op: str, node) -> Formula:
-        """operand (op operand)*, folded to the right in a loop, so a long
-        flat chain takes no nesting."""
-        parts = [operand()]
-        while self.peek() == op:
-            self.next()
-            parts.append(operand())
-        return _fold_right(node, parts)
+    def formula(self, tightest: int = 1) -> Formula:
+        """Binary operators of precedence `tightest` and up. A flat run of
+        one operator is read in a loop and folded to the right, so it takes
+        no nesting; the next operator then binds looser."""
+        out = self.unary()
+        while (op := _BINARY.get(self.rest[-1])) and op[0] >= tightest:
+            symbol, (prec, node) = self.rest[-1], op
+            parts = [out]
+            while self.rest[-1] == symbol:
+                self.rest.pop()
+                parts.append(self.formula(prec + 1))
+            out = _fold_right(node, parts)
+        return out
 
     def unary(self) -> Formula:
-        kind, value, pos = self.next()
-        if kind == "TILDE":
-            return Not(self.unary())
-        if kind == "ARBBOX":
-            return ArbBox(self.unary())
-        if kind == "ARBDIA":
-            return ArbDiamond(self.unary())
-        if kind == "LBRACK":
-            if self.peek() == "LBRACE":
-                upd = self.update()
-                self.expect("RBRACK", "']'")
-                return UpdateBox(upd, self.unary())
-            agent = self.expect("IDENT", "an agent name")
-            self.expect("RBRACK", "']'")
-            return Box(agent, self.unary())
-        if kind == "LANGLE":
-            if self.peek() == "LBRACE":
-                upd = self.update()
-                self.expect("RANGLE", "'>'")
-                return UpdateDiamond(upd, self.unary())
-            agent = self.expect("IDENT", "an agent name")
-            self.expect("RANGLE", "'>'")
-            return Diamond(agent, self.unary())
-        if kind == "LPAREN":
-            f = self.formula()
-            self.expect("RPAREN", "')'")
-            return f
-        if kind == "IDENT":
-            if value == "true":
-                return TOP
-            if value == "false":
-                return BOT
-            return Atom(value)
-        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+        found = self.rest.pop()
+        if found in _PREFIXES:
+            return _PREFIXES[found](self.unary())
+        if found in _MODALITIES:
+            close, agent_node, update_node = _MODALITIES[found]
+            if self.rest[-1] == "{":
+                label, node = self.update(), update_node
+            else:
+                label, node = self.name(), agent_node
+            self.expect(close)
+            return node(label, self.unary())
+        if found == "(":
+            out = self.formula()
+            self.expect(")")
+            return out
+        if found and found not in _SYMBOLS:
+            return _CONSTANTS.get(found) or Atom(found)
+        raise self.error(f"expected a formula, found {found or 'end of input'!r}")
 
     def update(self) -> Update:
-        self.expect("LBRACE", "'{'")
+        self.expect("{")
         clauses = [self.clause()]
-        while self.peek() == "COMMA":
-            self.next()
+        while self.rest[-1] == ",":
+            self.rest.pop()
             clauses.append(self.clause())
-        self.expect("RBRACE", "'}'")
+        self.expect("}")
         return Update(tuple(clauses))
 
     def clause(self) -> Clause:
-        self.expect("LPAREN", "'('")
+        self.expect("(")
         pre = self.formula()
-        self.expect("COMMA", "','")
-        agent = self.expect("IDENT", "an agent name")
-        self.expect("COMMA", "','")
+        self.expect(",")
+        agent = self.name()
+        self.expect(",")
         post = self.formula()
-        self.expect("RPAREN", "')'")
+        self.expect(")")
         return Clause(pre, agent, post)
 
 
@@ -387,9 +367,9 @@ def _parse(text: str, rule, what: str):
         out = rule(p)
     except RecursionError:
         # caught here, at the public entry, so each node costs no more to parse
-        pos = p.tokens[min(p.i, len(p.tokens) - 1)][2]
-        raise ParseError(f"{what} nested too deeply", pos) from None
-    p.done(what)
+        raise p.error(f"{what} nested too deeply", 1) from None
+    if p.rest[-1]:
+        raise p.error(f"trailing input after {what}: {p.rest[-1]!r}", 1)
     return out
 
 
@@ -404,7 +384,9 @@ def parse_update(text: str) -> Update:
 
 # ------------------------------------------------------------------ printer
 
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
+_SYMBOL_OF = {node: (symbol, prec) for symbol, prec, node in _OPERATORS}
+_BRACKETS_OF = {node: (open_, close) for open_, (close, *nodes) in _MODALITIES.items() for node in nodes}
+_CONSTANT_OF = {type(f): text for text, f in _CONSTANTS.items()}
 
 
 def print_formula(f: Formula) -> str:
@@ -419,45 +401,25 @@ def print_formula(f: Formula) -> str:
 
 
 def _print(f: Formula, ctx: int) -> str:
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Not):
-        return "~" + _print(f.body, _PREC_UNARY)
-    if isinstance(f, Box):
-        return f"[{f.agent}]" + _print(f.body, _PREC_UNARY)
-    if isinstance(f, Diamond):
-        return f"<{f.agent}>" + _print(f.body, _PREC_UNARY)
-    if isinstance(f, UpdateBox):
-        return f"[{print_update(f.update)}]" + _print(f.body, _PREC_UNARY)
-    if isinstance(f, UpdateDiamond):
-        return f"<{print_update(f.update)}>" + _print(f.body, _PREC_UNARY)
-    if isinstance(f, ArbBox):
-        return "[*]" + _print(f.body, _PREC_UNARY)
-    if isinstance(f, ArbDiamond):
-        return "<*>" + _print(f.body, _PREC_UNARY)
-    if isinstance(f, And):
-        return _print_binary(f, "&", _PREC_AND, ctx)
-    if isinstance(f, Or):
-        return _print_binary(f, "|", _PREC_OR, ctx)
-    if isinstance(f, Implies):
-        return _print_binary(f, "->", _PREC_IMP, ctx)
-    if isinstance(f, Iff):
-        return _print_binary(f, "<->", _PREC_IFF, ctx)
+    if kind in _SYMBOL_OF:
+        symbol, prec = _SYMBOL_OF[kind]
+        if prec == _PREFIX:
+            return symbol + _print(f.body, _PREFIX)
+        # the same operator's right spine is one flat chain, each operand but
+        # the last needing strictly tighter binding
+        *init, last = flatten_conj(f, kind)
+        text = f" {symbol} ".join([*(_print(g, prec + 1) for g in init), _print(last, prec)])
+        return f"({text})" if prec < ctx else text
+    if kind in _BRACKETS_OF:
+        open_, close = _BRACKETS_OF[kind]
+        label = f.agent if kind is Box or kind is Diamond else print_update(f.update)
+        return open_ + label + close + _print(f.body, _PREFIX)
+    if kind in _CONSTANT_OF:
+        return _CONSTANT_OF[kind]
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _print_binary(f: Formula, op: str, prec: int, ctx: int) -> str:
-    # right associative: the same operator's right spine is printed as one
-    # flat chain, each operand but the last needing strictly tighter binding
-    *init, last = flatten_conj(f, type(f))
-    text = f" {op} ".join([*(_print(g, prec + 1) for g in init), _print(last, prec)])
-    if prec < ctx:
-        return f"({text})"
-    return text
 
 
 def print_update(u: Update) -> str:
@@ -478,16 +440,7 @@ def subformulas(f: Formula):
     while stack:
         g = stack.pop()
         yield g
-        if isinstance(g, (And, Or, Implies, Iff)):
-            stack += (g.right, g.left)
-        elif isinstance(g, (UpdateBox, UpdateDiamond)):
-            stack.append(g.body)
-            for c in reversed(g.update.clauses):
-                stack += (c.post, c.pre)
-        elif isinstance(g, (Not, Box, Diamond, ArbBox, ArbDiamond)):
-            stack.append(g.body)
-        elif not isinstance(g, (Atom, Top, Bot)):
-            raise TypeError(f"not a formula: {g!r}")
+        stack += _parts(g)[1][::-1]
 
 
 def signature(f: Formula) -> tuple[frozenset[str], frozenset[str]]:

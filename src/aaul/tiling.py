@@ -223,7 +223,7 @@ def parse_tiles(text: str) -> TileInstance:
             raise ModelFormatError(f"unknown declaration {tokens[0]!r}", lineno)
 
     if not types:
-        raise ModelFormatError("no tiles declared", max(1, text.count("\n") + 1))
+        raise ModelFormatError("no tiles declared", max(1, len(text.splitlines())))
     if declared_colors is None:
         return TileInstance(tuple(used_colors), types)
     # checked here, not per tile, so tiles above the colors line are covered

@@ -263,11 +263,18 @@ def test_sat_search_respects_limit():
     assert code == 2 and "limit" in err
 
 
+def test_sat_search_max_states_is_checked_by_the_command():
+    # the command words the error by its option; the library by its parameter
+    assert invoke(["sat-search", "p", "--max-states", "0"]) == (2, "", "error: --max-states must be at least 1\n")
+    code, _, err = invoke(["sat-search", "p", "--max-states", "0", "--max-blocks", "0"])
+    assert code == 2 and "budget caps must be positive" in err
+
+
 def test_sat_search_limit_bounds_the_relabelling_table():
     # no agents: few candidates, but 8 states need 7! - 1 relabelling tables
     # of 2^8 entries each
     code, out, err = invoke(["sat-search", "p & ~p", "--max-states", "8"])
-    assert (code, out) == (2, "") and "over --limit 1000000" in err
+    assert (code, out) == (2, "") and "over limit 1000000" in err
     code, out, _ = invoke(["sat-search", "p & ~p", "--max-states", "7"])
     assert (code, out) == (1, "none up to 7 states\n")
 

@@ -9,6 +9,7 @@ from aaul import (
     UnknownStateError,
     export_dot,
     load_model,
+    parse_tiles,
     save_model,
 )
 from helpers import random_model
@@ -105,7 +106,35 @@ def test_load_errors(text, fragment):
 def test_load_error_line_numbers():
     with pytest.raises(ModelFormatError) as exc:
         load_model("states: w\n# fine\nagent a: w->x\n")
-    assert str(exc.value).startswith("line")
+    assert str(exc.value) == "line 3: arrow w->x for agent 'a' leaves declared states"
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        # a model the constructor refuses: the line of the declaration at fault
+        (load_model, "states: s\nagent a: s->t\n", "line 2: arrow s->t for agent 'a' leaves declared states"),
+        (load_model, "states: s\nagent a: s->s\nagent b: s->t", "line 3: arrow s->t for agent 'b' leaves declared states"),
+        (load_model, "states: s\nval p: t\npoint: s\n", "line 2: valuation of 'p' mentions unknown state 't'"),
+        (load_model, "states: s\n\n# c\npoint: t\n\n", "line 4: point 't' is not a declared state"),
+        (load_model, "# c\nstates:\nval p:\n", "line 2: a model needs at least one state"),
+        (load_model, "val p:\nstates: s-1\n", "line 2: bad state name 's-1': use [A-Za-z0-9_]+"),
+        (load_model, "states: s\nagent a-b:\nagent c:\n", "line 2: bad agent name 'a-b': use [A-Za-z0-9_]+"),
+        (load_model, "states: s\nval q:\nval p!: s\n", "line 3: bad proposition name 'p!': use [A-Za-z0-9_]+"),
+        # a whole-file error: the last line, or line 1 for an empty file
+        (load_model, "agent a:\n", "line 1: missing states line"),
+        (load_model, "agent a:\n\n# c", "line 3: missing states line"),
+        (load_model, "", "line 1: missing states line"),
+        (parse_tiles, "colors: a\n", "line 1: no tiles declared"),
+        (parse_tiles, "colors: a\n\n", "line 2: no tiles declared"),
+        (parse_tiles, "", "line 1: no tiles declared"),
+    ],
+)
+def test_file_errors_name_their_line(parse, text, message):
+    with pytest.raises(ModelFormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
 
 
 def test_constructor_validation():

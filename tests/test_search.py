@@ -116,9 +116,9 @@ def test_sat_search_library_entry():
     assert sat_search(parse_formula("p | ~p"), 1, props=()).props == ()
     with pytest.raises(UnknownAgentError, match="unknown agent 'a'"):
         sat_search(parse_formula("<a>p"), 1, agents=())
-    with pytest.raises(AaulError, match="over --limit 100"):
+    with pytest.raises(AaulError, match="over limit 100"):
         sat_search(parse_formula("<a>p & [a]~p"), 3, limit=100)
-    with pytest.raises(AaulError, match="--max-states must be at least 1"):
+    with pytest.raises(AaulError, match="max_states must be at least 1"):
         sat_search(parse_formula("p"), 0)
 
 

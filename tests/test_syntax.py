@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -104,24 +105,68 @@ def test_print_update():
     assert parse_update(print_update(u)) == u
 
 
+def _position_id(value):
+    """A row's id names the position alone, as when only that was pinned."""
+    m = re.search(r"\(at (position \d+)\)$", value)
+    return m[1] if m else None
+
+
 @pytest.mark.parametrize(
-    "text,pos_hint",
+    "text,message",
     [
-        ("p &", "position 3"),
-        ("p q", "position 2"),
-        ("[a p", "position 3"),
-        ("(p", "position 2"),
-        ("", "position 0"),
-        ("p $ q", "position 2"),
-        ("[{}]p", "position 2"),
-        ("[{(p,a)}]p", "position 6"),
-        ("<*", "position 1"),
+        ("p &", "expected a formula, found 'end of input' (at position 3)"),
+        ("p q", "trailing input after formula: 'q' (at position 2)"),
+        ("[a p", "expected ']', found 'p' (at position 3)"),
+        ("(p", "expected ')', found 'end of input' (at position 2)"),
+        ("", "expected a formula, found 'end of input' (at position 0)"),
+        ("p $ q", "unexpected character '$' (at position 2)"),
+        ("[{}]p", "expected '(', found '}' (at position 2)"),
+        ("[{(p,a)}]p", "expected ',', found ')' (at position 6)"),
+        ("<*", "unexpected character '*' (at position 1)"),
+        # an unexpected character anywhere wins over a grammar error before it
+        ("p q \u00e9", "unexpected character '\u00e9' (at position 4)"),
+        ("p ->\t-> q", "expected a formula, found '->' (at position 5)"),
+        ("p) ", "trailing input after formula: ')' (at position 1)"),
+        ("[]p", "expected an agent name, found ']' (at position 1)"),
+        ("<>p", "expected an agent name, found '>' (at position 1)"),
+        ("[a>p", "expected ']', found '>' (at position 2)"),
+        ("<a]p", "expected '>', found ']' (at position 2)"),
+        ("(p &\n q", "expected ')', found 'end of input' (at position 7)"),
+        ("[{(p a,q)}]p", "expected ',', found 'a' (at position 5)"),
+        ("[{(p,a,q)]p", "expected '}', found ']' (at position 9)"),
+        ("[{(p,a,q)}>p", "expected ']', found '>' (at position 10)"),
+        ("<{(p,a,q)}]p", "expected '>', found ']' (at position 10)"),
+        ("[{(p,a,q)(q,a,p)}]p", "expected '}', found '(' (at position 9)"),
+        ("[{(p,a,q),}]p", "expected '(', found '}' (at position 10)"),
+        ("[{(p,&,q)}]p", "expected an agent name, found '&' (at position 5)"),
+        ("[{(->,a,q)}]p", "expected a formula, found '->' (at position 3)"),
+        ("[{(p,a,[*])}]p", "expected a formula, found ')' (at position 10)"),
+        ("[{(p,a,q $)}]p", "unexpected character '$' (at position 9)"),
+        ("[ * ]p", "unexpected character '*' (at position 2)"),
     ],
+    ids=_position_id,
 )
-def test_parse_errors_carry_position(text, pos_hint):
+def test_parse_errors_carry_position(text, message):
     with pytest.raises(ParseError) as exc:
         parse_formula(text)
-    assert pos_hint in str(exc.value)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("{(p,a,true)} extra", "trailing input after update: 'extra' (at position 13)"),
+        ("(p,a,q)", "expected '{', found '(' (at position 0)"),
+        ("{(p,a,q)", "expected '}', found 'end of input' (at position 8)"),
+        (" ", "expected '{', found 'end of input' (at position 1)"),
+        ("{(p,a,q)} -", "unexpected character '-' (at position 10)"),
+    ],
+    ids=_position_id,
+)
+def test_update_parse_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_update(text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -159,6 +204,47 @@ def test_round_trip_seeded():
     for _ in range(1000):
         f = random_ast(rng, rng.randint(0, 4))
         assert parse_formula(print_formula(f)) == f
+
+
+_LOOSE_BINARY = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+_LOOSE_PREFIX = {Not: "~", ArbBox: "[*]", ArbDiamond: "<*>"}
+
+
+def _loose_tokens(f):
+    """f's tokens, with each binary operand, and each binary formula, in
+    parentheses."""
+    kind = type(f)
+    if kind is Atom:
+        return [f.name]
+    if f == TOP or f == BOT:
+        return ["true" if f == TOP else "false"]
+    if kind in _LOOSE_BINARY:
+        left, right = _loose_tokens(f.left), _loose_tokens(f.right)
+        return ["(", "(", *left, ")", _LOOSE_BINARY[kind], "(", *right, ")", ")"]
+    if kind in _LOOSE_PREFIX:
+        return [_LOOSE_PREFIX[kind], *_loose_tokens(f.body)]
+    open_, close = ("[", "]") if kind in (Box, UpdateBox) else ("<", ">")
+    if kind in (Box, Diamond):
+        label = [f.agent]
+    else:
+        label = ["{"]
+        for i, c in enumerate(f.update.clauses):
+            label += [","] * (i > 0) + ["(", *_loose_tokens(c.pre), ",", c.agent, ",", *_loose_tokens(c.post), ")"]
+        label.append("}")
+    return [open_, *label, close, *_loose_tokens(f.body)]
+
+
+def test_round_trip_of_loose_text():
+    # text no printer writes: parentheses around every binary operand, and
+    # any run of spaces, tabs and newlines, or none, between tokens
+    rng = random.Random(77)
+    for _ in range(1000):
+        f = random_ast(rng, rng.randint(0, 4))
+        text = ""
+        for tok in _loose_tokens(f):
+            text += rng.choice(["", "", " ", "  ", "\t", "\n", " \n\t"]) + tok
+        text += rng.choice(["", " ", "\n"])
+        assert parse_formula(text) == f, text
 
 
 _atom_names = st.sampled_from(["p", "q", "r1", "x_0"])
