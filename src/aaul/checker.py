@@ -68,9 +68,10 @@ from .syntax import (
     UpdateBox,
     UpdateDiamond,
     flatten_conj,
+    is_quantifier_free,
     parse_update,
     print_formula,
-    subformulas,
+    signature,
 )
 
 
@@ -127,23 +128,15 @@ def _unions(m: KripkeModel, blocks):
             return
 
 
-def _read_agents(body: Formula, separated: bool) -> set[str] | None:
+def _read_agents(body: Formula, separated: bool) -> frozenset[str] | None:
     """The agents whose arrows body reads: those of every [c]/<c> and every
-    update clause in it, clause formulas included (`signature(body)[1]`,
-    found in the one walk that looks for a quantifier). A nested [*]/<*>
-    reads what its body reads when the quantified model is separated (see
-    `_distinct_unions`); else the result is None, for every agent."""
-    agents = set()
-    for g in subformulas(body):
-        kind = type(g)
-        if kind is ArbBox or kind is ArbDiamond:
-            if not separated:
-                return None
-        elif kind is Box or kind is Diamond:
-            agents.add(g.agent)
-        elif kind is UpdateBox or kind is UpdateDiamond:
-            agents.update(c.agent for c in g.update.clauses)
-    return agents
+    update clause in it, clause formulas included (`signature(body)[1]`).
+    A nested [*]/<*> reads what its body reads when the quantified model is
+    separated (see `_distinct_unions`); else the result is None, for every
+    agent."""
+    if not separated and not is_quantifier_free(body):
+        return None
+    return signature(body)[1]
 
 
 def _distinct_unions(m: KripkeModel, checked, body: Formula, read: dict):

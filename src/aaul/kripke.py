@@ -23,35 +23,38 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ModelFormatError, UnknownAgentError, UnknownStateError
+from .syntax import _NAME
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_ARROW_RE = re.compile(r"([A-Za-z0-9_]+)->([A-Za-z0-9_]+)\Z")
+_ARROW_RE = re.compile(rf"({_NAME.pattern})->({_NAME.pattern})\Z")
 
 
 class _DeclarationError(ValueError):
-    """A model the constructor refuses, and the declaration at fault, keyed
-    as a model file's line heads it: ("states",), ("agent", a), ("val", p)
-    or ("point",)."""
+    """A model or tile set the constructor refuses, and the declaration at
+    fault, keyed as a file's line heads it: ("states",), ("agent", a),
+    ("val", p) or ("point",); ("colors",) or ("tile", i), the i-th tile. A
+    lone tile, which knows no index, and a set of no tiles give ("tile",)."""
 
-    def __init__(self, message: str, declaration: tuple[str, ...]):
+    def __init__(self, message: str, declaration: tuple):
         super().__init__(message)
         self.declaration = declaration
 
 
-def _check_names(kind: str, names, keyword: str) -> tuple[str, ...]:
-    """names as a tuple, each of them well formed and new; a bad name is
-    blamed on the `keyword` line that declares it."""
+def _check_name(kind: str, name, declaration: tuple) -> None:
+    """Refuse a name that a formula cannot write, blamed on `declaration`."""
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        raise _DeclarationError(f"bad {kind} name {name!r}: use {_NAME.pattern}", declaration)
+
+
+def _check_names(kind: str, names, declaration) -> tuple[str, ...]:
+    """names as a tuple, each of them well formed and new; the i-th name n,
+    if at fault, is blamed on declaration(i, n)."""
     names = tuple(names)
     seen = set()
-    for n in names:
-        if not isinstance(n, str) or not _NAME_RE.match(n):
-            problem = f"bad {kind} name {n!r}: use [A-Za-z0-9_]+"
-        elif n in seen:
-            problem = f"duplicate {kind} name {n!r}"
-        else:
-            seen.add(n)
-            continue
-        raise _DeclarationError(problem, (keyword,) if keyword == "states" else (keyword, n))
+    for i, n in enumerate(names):
+        if not isinstance(n, str) or not _NAME.fullmatch(n) or n in seen:
+            _check_name(kind, n, declaration(i, n))  # raises for a bad name
+            raise _DeclarationError(f"duplicate {kind} name {n!r}", declaration(i, n))
+        seen.add(n)
     return names
 
 
@@ -65,9 +68,9 @@ class KripkeModel:
     point: str | None = None
 
     def __post_init__(self):
-        states = _check_names("state", self.states, "states")
-        agents = _check_names("agent", self.agents, "agent")
-        props = _check_names("proposition", self.props, "val")
+        states = _check_names("state", self.states, lambda i, s: ("states",))
+        agents = _check_names("agent", self.agents, lambda i, a: ("agent", a))
+        props = _check_names("proposition", self.props, lambda i, p: ("val", p))
         if not states:
             raise _DeclarationError("a model needs at least one state", ("states",))
         state_set = set(states)
@@ -159,6 +162,19 @@ class KripkeModel:
         return KripkeModel(self.states, self.agents, self.props, self.arrows, self.valuation, point)
 
 
+def _declarations(text: str) -> tuple[list[tuple[int, str]], int]:
+    """The lines of a model or tile file that declare something, each with
+    its number from 1 and its `#` comment cut; and the line a whole-file
+    error names: the last, or 1 when the file is empty."""
+    raw = text.splitlines()
+    lines = []
+    for lineno, line in enumerate(raw, start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    return lines, max(1, len(raw))
+
+
 def load_model(text: str) -> KripkeModel:
     """The model a text declares. A malformed line is named as it is read;
     a model the constructor refuses, at the line of the declaration at
@@ -169,13 +185,10 @@ def load_model(text: str) -> KripkeModel:
     arrows: dict[str, list[tuple[str, str]]] = {}
     valuation: dict[str, list[str]] = {}
     point = None
-    point_seen = False
     declared: dict[tuple[str, ...], int] = {}  # the line of each declaration, by its head
+    lines, last = _declarations(text)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         head, sep, rest = line.partition(":")
         if not sep:
             raise ModelFormatError(f"expected 'keyword:' in {line!r}", lineno)
@@ -187,11 +200,6 @@ def load_model(text: str) -> KripkeModel:
             if states is not None:
                 raise ModelFormatError("duplicate states line", lineno)
             states = body
-            seen = set()
-            for s in states:
-                if s in seen:
-                    raise ModelFormatError(f"duplicate state name {s!r}", lineno)
-                seen.add(s)
         elif len(keyword) == 2 and keyword[0] == "agent":
             name = keyword[1]
             if name in arrows:
@@ -210,16 +218,14 @@ def load_model(text: str) -> KripkeModel:
             props.append(name)
             valuation[name] = body
         elif keyword == ["point"]:
-            if point_seen:
+            if point is not None:
                 raise ModelFormatError("duplicate point line", lineno)
             if len(body) != 1:
                 raise ModelFormatError("point line needs exactly one state", lineno)
             point = body[0]
-            point_seen = True
         else:
             raise ModelFormatError(f"unknown declaration {head.strip()!r}", lineno)
 
-    last = max(1, len(text.splitlines()))
     if states is None:
         raise ModelFormatError("missing states line", last)
     try:

@@ -9,8 +9,9 @@ The concrete grammar, in decreasing binding strength (`_OPERATORS` and
     ->     (right associative)
     <->    (right associative)
 
-Atoms are identifiers over [A-Za-z0-9_]; `true` and `false` are reserved.
-Agent names inside modalities use the same identifier syntax.
+Atoms and agents are names (`_NAME`: letters, digits and underscores);
+`true` and `false` are reserved. Models and tile sets name everything by
+the same rule, so that a formula can write each of their names.
 """
 
 from __future__ import annotations

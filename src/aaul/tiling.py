@@ -40,13 +40,12 @@ arrow blocks, and the default budget refuses them.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
 from .checker import Budget, DEFAULT_BUDGET, satisfies
 from .errors import AaulError, ModelFormatError
-from .kripke import KripkeModel
+from .kripke import KripkeModel, _check_name, _check_names, _declarations, _DeclarationError
 from .syntax import (
     And,
     ArbBox,
@@ -84,8 +83,6 @@ COMMUTE_PAIRS = (
     (LEFT, UP), (LEFT, DOWN), (RIGHT, UP), (RIGHT, DOWN),
 )
 
-_NAME_OK = re.compile(r"[A-Za-z0-9_]+\Z")
-
 
 @dataclass(frozen=True)
 class TileType:
@@ -95,29 +92,35 @@ class TileType:
     east: str
     west: str
 
+    def __post_init__(self):
+        _check_name("tile", self.name, ("tile",))
+        for side in SIDES:
+            _check_name("color", self.side(side), ("tile",))
+
     def side(self, side: str) -> str:
         return {"N": self.north, "S": self.south, "E": self.east, "W": self.west}[side]
 
 
 @dataclass(frozen=True)
 class TileInstance:
+    """A refusal blames the colors, or the i-th tile: the second to repeat
+    a name, or the first to use an undeclared color."""
+
     colors: tuple[str, ...]
     types: tuple[TileType, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        object.__setattr__(self, "types", tuple(self.types))
-        if not self.types:
-            raise ValueError("a tile instance needs at least one tile type")
-        if len(set(self.colors)) != len(self.colors):
-            raise ValueError("duplicate color")
-        names = [t.name for t in self.types]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate tile name")
-        for t in self.types:
+        colors = _check_names("color", self.colors, lambda i, c: ("colors",))
+        types = tuple(self.types)
+        _check_names("tile", (t.name for t in types), lambda i, name: ("tile", i))
+        if not types:
+            raise _DeclarationError("no tiles declared", ("tile",))
+        for i, t in enumerate(types):
             for side in SIDES:
-                if t.side(side) not in self.colors:
-                    raise ValueError(f"tile {t.name!r} uses undeclared color {t.side(side)!r}")
+                if t.side(side) not in colors:
+                    raise _DeclarationError(f"unknown color {t.side(side)!r}", ("tile", i))
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "types", types)
 
 
 @dataclass(frozen=True)
@@ -172,37 +175,24 @@ def parse_tiles(text: str) -> TileInstance:
 
     Side keys may come in any order but each must appear exactly once.
     Without a colors line, colors are collected in order of first use.
+    Errors name their line as `load_model`'s do; no tile, the last line.
     """
-    declared_colors: list[str] | None = None
+    colors = None
     types: list[TileType] = []
-    seen_names: set[str] = set()
-    used_colors: dict[str, int] = {}  # color -> line of its first use
+    declared: dict[tuple, int] = {}  # the line of ("colors",) and of each ("tile", i)
+    lines, last = _declarations(text)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
+        head, sep, rest = line.partition(":")
         tokens = line.split()
-        if tokens[0] == "colors:":
-            if declared_colors is not None:
+        if sep and head.split() == ["colors"]:
+            if colors is not None:
                 raise ModelFormatError("duplicate colors line", lineno)
-            declared_colors = tokens[1:]
-            for c in declared_colors:
-                if not _NAME_OK.match(c):
-                    raise ModelFormatError(f"bad color name {c!r}", lineno)
-            if len(set(declared_colors)) != len(declared_colors):
-                raise ModelFormatError("duplicate color", lineno)
+            colors = rest.split()
+            declared[("colors",)] = lineno
         elif tokens[0] == "tile":
             if len(tokens) != 6:
-                raise ModelFormatError(
-                    "expected 'tile NAME N=c E=c S=c W=c'", lineno
-                )
-            name = tokens[1]
-            if not _NAME_OK.match(name):
-                raise ModelFormatError(f"bad tile name {name!r}", lineno)
-            if name in seen_names:
-                raise ModelFormatError(f"duplicate tile name {name!r}", lineno)
-            seen_names.add(name)
+                raise ModelFormatError("expected 'tile NAME N=c E=c S=c W=c'", lineno)
             sides: dict[str, str] = {}
             for tok in tokens[2:]:
                 key, sep, color = tok.partition("=")
@@ -210,27 +200,21 @@ def parse_tiles(text: str) -> TileInstance:
                     raise ModelFormatError(f"expected side assignment, found {tok!r}", lineno)
                 if key in sides:
                     raise ModelFormatError(f"duplicate side {key}", lineno)
-                if not _NAME_OK.match(color):
-                    raise ModelFormatError(f"bad color name {color!r}", lineno)
-                sides[key] = color
-            missing = [s for s in SIDES if s not in sides]
-            if missing:
-                raise ModelFormatError(f"missing side {missing[0]}", lineno)
-            for side in SIDES:
-                used_colors.setdefault(sides[side], lineno)
-            types.append(TileType(name, sides["N"], sides["S"], sides["E"], sides["W"]))
+                sides[key] = color  # four keys, none repeated: every side is given
+            try:
+                types.append(TileType(tokens[1], sides["N"], sides["S"], sides["E"], sides["W"]))
+            except _DeclarationError as e:
+                raise ModelFormatError(str(e), lineno) from None
+            declared[("tile", len(types) - 1)] = lineno
         else:
             raise ModelFormatError(f"unknown declaration {tokens[0]!r}", lineno)
 
-    if not types:
-        raise ModelFormatError("no tiles declared", max(1, len(text.splitlines())))
-    if declared_colors is None:
-        return TileInstance(tuple(used_colors), types)
-    # checked here, not per tile, so tiles above the colors line are covered
-    for color, lineno in used_colors.items():
-        if color not in declared_colors:
-            raise ModelFormatError(f"unknown color {color!r}", lineno)
-    return TileInstance(declared_colors, types)
+    if colors is None:
+        colors = dict.fromkeys(t.side(side) for t in types for side in SIDES)
+    try:
+        return TileInstance(colors, types)
+    except _DeclarationError as e:
+        raise ModelFormatError(str(e), declared.get(e.declaration, last)) from None
 
 
 # ------------------------------------------------------------------ encoder

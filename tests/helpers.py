@@ -6,11 +6,12 @@ refining a partition, naive_eval/naive_apply recurse over states
 directly instead of computing truth sets, naive_arb_models lists the
 range of [*] from naive_bisim for naive_eval to try in full, and
 naive_sat_search tries every relabelling on every candidate model and
-checks the whole formula on it.
+checks the whole formula on it. `invoke` runs the command line in process.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 
@@ -38,6 +39,7 @@ from aaul import (
     UpdateDiamond,
     satisfies,
 )
+from aaul.cli import run
 
 AGENTS = ("a", "b")
 PROPS = ("p", "q")
@@ -363,3 +365,10 @@ def naive_sat_search(f: Formula, max_states: int, agents, props, budget=DEFAULT_
         if found is not None:
             return found
     return None
+
+
+def invoke(argv, stdin_text=""):
+    """(exit code, stdout, stderr) of the command line run on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()

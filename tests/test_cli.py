@@ -1,6 +1,5 @@
 import contextlib
 import io
-import itertools
 import random
 
 import pytest
@@ -21,11 +20,9 @@ from aaul import (
     save_model,
 )
 from aaul import cli
-from aaul.cli import run
-from aaul.search import _canonical_candidates
 from helpers import (
+    invoke,
     naive_apply,
-    naive_canonical,
     naive_eval,
     naive_sat_search,
     random_formula,
@@ -34,16 +31,9 @@ from helpers import (
     random_update,
     single_quantifier_formula,
 )
-from test_search import cache_formula, evaluators_built
 
 WV = "states: w v\nagent a: w->v v->v\nval p: v\npoint: w\n"
 TILES = "tile A N=g E=b S=g W=w\ntile B N=g E=w S=g W=b\n"
-
-
-def invoke(argv, stdin_text=""):
-    out, err = io.StringIO(), io.StringIO()
-    code = run(argv, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -345,50 +335,6 @@ def test_sat_search_first_model_found():
     )
 
 
-@pytest.mark.parametrize("n,props,agents", [(2, 2, 2), (3, 2, 1), (3, 0, 2), (4, 1, 1)])
-def test_sat_search_candidates_are_exactly_the_canonical_ones(n, props, agents):
-    kept = [
-        (prop_masks, arrow_masks)
-        for prop_masks, arrow_tuples in _canonical_candidates(n, props, agents)
-        for arrow_masks in arrow_tuples()
-    ]
-    assert kept == sorted(kept)
-    kept = set(kept)
-    rng = random.Random(n * 100 + props * 10 + agents)
-    for _ in range(3000):
-        prop_masks = tuple(rng.randrange(1 << n) for _ in range(props))
-        arrow_masks = tuple(rng.randrange(1 << (n * n)) for _ in range(agents))
-        assert ((prop_masks, arrow_masks) in kept) == naive_canonical(prop_masks, arrow_masks, n)
-
-
-def _trie(row_tuples) -> dict:
-    """The trie of row tuples, one level per agent, keys ascending."""
-    trie = {}
-    for rows in sorted(row_tuples):
-        node = trie
-        for r in rows:
-            node = node.setdefault(r, {})
-    return trie
-
-
-@pytest.mark.parametrize("n,props,agents", [(2, 2, 2), (3, 2, 1), (3, 0, 2), (4, 1, 1), (3, 1, 0)])
-def test_sat_search_trie_keeps_exactly_the_candidates_whose_rows_it_holds(n, props, agents):
-    rng = random.Random(n * 100 + props * 10 + agents + 1)
-    every = list(itertools.product(range(1 << n), repeat=agents))
-    kept_rows = [{rows for rows in every if rng.random() < 0.5}]
-    if agents == 2:  # no tuple starts with most first rows
-        firsts = set(rng.sample(range(1 << n), 2))
-        kept_rows.append({rows for rows in every if rows[0] in firsts})
-    if agents == 0:  # the trie of the empty tuple has no level
-        kept_rows = [{()}]
-    full = (1 << n) - 1
-    for kept in kept_rows:
-        trie = _trie(kept)
-        for prop_masks, arrow_tuples in _canonical_candidates(n, props, agents):
-            expected = [masks for masks in arrow_tuples() if tuple(m & full for m in masks) in kept]
-            assert list(arrow_tuples(trie)) == expected, (prop_masks, kept)
-
-
 # (agents, props, max states): each search space stays small enough for the
 # reference, which tries every relabelling on every candidate
 _SHAPES = (
@@ -437,55 +383,6 @@ def test_sat_search_matches_naive_reference():
     assert decided >= 20
 
 
-def test_sat_search_cache_changes_no_decision():
-    """Each quantifier-free conjunct decided once per neighbourhood of s0
-    gives the decisions of checking it on every candidate."""
-    rng = random.Random(20261019)
-    shapes = (
-        (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 3), (("a", "b"), ("p", "q"), 1), (("a",), ("p",), 3),
-    )
-    saved = naive_checked = 0
-    for _ in range(60):
-        agents, props, max_states = rng.choice(shapes)
-        f = cache_formula(rng, agents, props)
-        argv = [
-            "sat-search", print_formula(f), "--max-states", str(max_states),
-            "--agents", ",".join(agents), "--props", ",".join(props),
-        ]
-        budget = Budget()
-        if rng.random() < 0.3:
-            budget = Budget(max_arrow_blocks=rng.randint(1, 3))
-            argv += ["--max-blocks", str(budget.max_arrow_blocks)]
-        with evaluators_built() as cached_built:
-            cached = invoke(argv)
-        with evaluators_built(cache=False) as uncached_built:
-            uncached = invoke(argv)
-        if uncached[0] != 2:
-            assert cached == uncached, argv
-        saved += len(uncached_built) - len(cached_built)
-        if uncached[0] != 2 and max_states < 3:
-            try:  # checking f whole, the reference may refuse where a conjunct rejects first
-                found = naive_sat_search(f, max_states, agents, props, budget)
-            except AaulError:
-                continue
-            assert (found is not None) == (uncached[0] == 0), argv
-            naive_checked += 1
-    assert saved >= 10000 and naive_checked >= 10
-
-
-def test_sat_search_builds_fewer_evaluators():
-    # "<a>p & [a]~p" is unsatisfiable, so every point-generated candidate up
-    # to 3 states is visited; its conjuncts read only the arrows out of s0,
-    # so each is decided once per row of s0, by the one evaluator of its
-    # valuation (2 + 4 + 6 canonical valuations), and no candidate is built
-    argv = ["sat-search", "<a>p & [a]~p", "--max-states", "3"]
-    with evaluators_built() as cached:
-        assert invoke(argv) == (1, "none up to 3 states\n", "")
-    with evaluators_built(cache=False) as uncached:
-        assert invoke(argv) == (1, "none up to 3 states\n", "")
-    assert (len(cached), len(uncached)) == (12, 1092)
-
-
 def test_sat_search_quantified_matches_naive_reference():
     # with a [*]/<*> conjunct, against the reference, which checks every
     # canonical candidate whole: where it decides, the same output; where it
@@ -529,23 +426,6 @@ def test_sat_search_neighbourhood_reaches_two_steps():
     assert (code, out) == (
         0, "states: s0 s1 s2\nagent a: s0->s1 s1->s2 s2->s0\nval p: s0\nval q: s0 s1\npoint: s0\n",
     )
-
-
-def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
-    # the clause is 70 levels deep, and it is judged only on a candidate
-    # with an a-arrow; the update's body reads s0's valuation alone, so its
-    # verdict from the arrowless candidate is kept for the looping one,
-    # where checking the conjunct would have gone over the recursion budget
-    argv = ["sat-search", "~p & [{(" + "~" * 70 + "p,a,true)}]p", "--max-states", "1"]
-    assert invoke(argv) == (1, "none up to 1 states\n", "")
-    with evaluators_built(cache=False):
-        assert invoke(argv) == (2, "", "error: recursion deeper than 64\n")
-    # at two states the update conjunct still has local depth 0, so it is
-    # settled once per valuation on the model without arrows, where no arrow
-    # needs the clause: every valuation is rejected there, before any
-    # candidate is built
-    argv[3] = "2"
-    assert invoke(argv) == (1, "none up to 2 states\n", "")
 
 
 def test_run_calls_share_no_state():

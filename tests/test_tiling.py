@@ -82,6 +82,88 @@ def test_parse_tiles_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+_FOUR = " N=a E=a S=a W=a\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "line 1: no tiles declared"),
+        ("colors: a\n# c\n\n", "line 3: no tiles declared"),
+        ("colors: a\ncolors: a\ntile T" + _FOUR, "line 2: duplicate colors line"),
+        ("colors: a b!\ntile T" + _FOUR, "line 1: bad color name 'b!': use [A-Za-z0-9_]+"),
+        ("colors: a b a\ntile T" + _FOUR, "line 1: duplicate color name 'a'"),
+        ("\ntile T N=a E=a S=a\n", "line 2: expected 'tile NAME N=c E=c S=c W=c'"),
+        ("tile T N=a E=a S=a W=a X=a\n", "line 1: expected 'tile NAME N=c E=c S=c W=c'"),
+        ("tile T N=a E=a S=a N=a\n", "line 1: duplicate side N"),
+        ("tile T N=a E=a S=a Q=a\n", "line 1: expected side assignment, found 'Q=a'"),
+        ("tile T N=a E=a S=a W\n", "line 1: expected side assignment, found 'W'"),
+        ("tile T N=a E=a S=a =a\n", "line 1: expected side assignment, found '=a'"),
+        ("tile bad! N=a E=a S=a W=a\n", "line 1: bad tile name 'bad!': use [A-Za-z0-9_]+"),
+        ("tile T" + _FOUR + "tile T N=a! E=a S=a W=a\n", "line 2: bad color name 'a!': use [A-Za-z0-9_]+"),
+        ("tile T N=a E=a S= W=a\n", "line 1: bad color name '': use [A-Za-z0-9_]+"),
+        # a name declared three times: the second declaration is at fault
+        ("tile T" + _FOUR + "tile U" + _FOUR + "# c\ntile T" + _FOUR + "tile T" + _FOUR, "line 4: duplicate tile name 'T'"),
+        ("colors: a\ntile T" + _FOUR + "tile U N=a E=b S=a W=c\n", "line 3: unknown color 'b'"),
+        # a tile above the colors line is held to it too, reported at the tile
+        ("tile T" + _FOUR + "tile U N=x E=a S=a W=y\ncolors: a\n", "line 2: unknown color 'x'"),
+        ("junk\n", "line 1: unknown declaration 'junk'"),
+        ("tile: T" + _FOUR, "line 1: unknown declaration 'tile:'"),
+        ("colors a\ntile T" + _FOUR, "line 1: unknown declaration 'colors'"),
+    ],
+)
+def test_parse_tiles_errors_name_their_line(text, message):
+    with pytest.raises(ModelFormatError) as exc:
+        parse_tiles(text)
+    assert str(exc.value) == message
+
+
+def test_parse_tiles_colors_keyword_needs_no_space():
+    assert parse_tiles("colors:w\ntile A N=w E=w S=w W=w\n").colors == ("w",)
+    assert parse_tiles("colors :w v # c\ntile A N=w E=w S=w W=w\n").colors == ("w", "v")
+
+
+@pytest.mark.parametrize("bad", ["a b", "x!"])
+def test_constructors_refuse_names_a_formula_cannot_write(bad):
+    ok = TileType("T", "w", "w", "w", "w")
+    for make, kind in (
+        (lambda: TileType(bad, "w", "w", "w", "w"), "tile"),
+        (lambda: TileType("T", "w", "w", "w", bad), "color"),
+        (lambda: TileInstance((bad, "w"), (ok,)), "color"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == f"bad {kind} name {bad!r}: use [A-Za-z0-9_]+"
+
+
+def test_accepted_instances_encode_and_build():
+    # names drawn with characters a formula cannot write: every instance
+    # the constructors accept prints a formula that parses back, and
+    # realizes a tiling as a model
+    rng = random.Random(20261019)
+    alphabet = "abcXZ09_" * 6 + " !-."
+    accepted = 0
+    for _ in range(120):
+        def name():
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+
+        colors = tuple(dict.fromkeys(name() for _ in range(rng.randint(1, 3))))
+        try:
+            types = tuple(TileType(name(), *(rng.choice(colors) for _ in "NSEW")) for _ in range(rng.randint(1, 3)))
+            inst = TileInstance(colors, types)
+        except ValueError:
+            continue
+        accepted += 1
+        f = encode(inst)
+        assert parse_formula(print_formula(f)) == f
+        k = rng.randint(1, 2)
+        tiling = PeriodicTiling(k, {(n, m): rng.choice(inst.types) for n in range(k) for m in range(k)})
+        m = build_torus_model(inst, tiling)
+        assert len(m.states) == 1 + k * k
+        assert {f"p_{t.name}" for t in inst.types} <= set(m.props)
+    assert accepted >= 30
+
+
 def test_instance_is_hashable_and_equal_to_its_tuple_twin():
     parsed = parse_tiles(ALTERNATING)
     built = TileInstance(parsed.colors, tuple(parsed.types))
