@@ -80,11 +80,12 @@ class KripkeModel:
                 raise _DeclarationError(f"arrows given for undeclared agent {a!r}", ("agent", a))
         arrows = {}
         for a in agents:
-            pairs = frozenset(tuple(p) for p in self.arrows.get(a, ()))
+            # checked in the order given, so the arrow named is the same under any hash seed
+            pairs = list(map(tuple, self.arrows.get(a, ())))
             for s, t in pairs:
                 if s not in state_set or t not in state_set:
                     raise _DeclarationError(f"arrow {s}->{t} for agent {a!r} leaves declared states", ("agent", a))
-            arrows[a] = pairs
+            arrows[a] = frozenset(pairs)
 
         for p in self.valuation:
             if p not in props:

@@ -235,27 +235,54 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
       which skip the memo). So every evaluation the search makes on a
       candidate is one the reference makes on it too, and refuses only if
       the reference's does.
-    - Neighbourhoods. A quantifier-free conjunct's truth at s0 depends only
-      on the valuation and on the rows (arrows out of one state) of the
-      agents it mentions at the states within distance < `local_depth` of
-      s0. Within one valuation its verdict is kept under the arrow masks of
-      those agents cut down to those rows (`near`), and reused by every
-      candidate with the same cut masks.
-    - Probes. Before any arrow mask is looked at, one evaluator per
-      valuation (`_settled`, which swallows refusals) settles (a), on
-      `valued`, the valuation with no arrows, each conjunct of local depth
-      0 and each top-level [*]g or <*>g (`valued` is the empty union that
-      every candidate's walk tries first, so [*]g false there is false on
-      every candidate, and <*>g true there is true on every candidate);
-      and (b), per tuple of s0's rows, on a model that holds just those
-      rows, each conjunct of local depth 1, whose verdict is kept under the
-      same key as one evaluated on a candidate. A conjunct decided true
+    - Views. Let g be quantifier-free, of local depth d, A the agents and P
+      the atoms it mentions, and R_k the states within distance <= k of s0
+      along A's arrows. Then g's truth at s0 depends only on its view of
+      s0: A's rows (arrows out of one state) at the states of R_{d-1}
+      (none when d = 0), and P's values at the states of R_d. Those rows
+      fix R_d, so two models with the same view have the same R_d. By
+      induction on g, for every state s and both models (with R_k(s)
+      taken from s): an atom or a constant reads s alone; a connective
+      its parts, whose views are parts of g's; [a]h, d = e + 1, reads a's
+      row at s and h at each successor t, and R_k(t) lies in R_{k+1}(s),
+      so h's view at t is part of g's at s. For [U]h, the updated model
+      M^U keeps the valuation and a subset of the arrows: u -a-> v when it
+      is an arrow of M and some clause (pre, a, post) has pre true at u
+      and post at v, judged in M. If h has depth 0, M^U agrees with M at s
+      on P, and d = 0. Otherwise d = e + c, with e = depth(h) > 0 and c
+      the depth of U's deepest clause formula. h's view in M^U reads rows
+      at u in R^U_{e-1}(s), inside R_{e-1}(s), and atoms in R^U_e(s),
+      inside R_e(s). Such a row of M^U needs M's row at u (u in R_{d-1}),
+      pre at u (its view lies in R_{e-1+c}(s) = R_{d-1}(s)) and post at
+      each successor v of u (v in R_e(s), its view in R_{e+c}(s) = R_d(s)).
+      So the two updated models agree on h's view, R^U_k included, and by
+      induction on h; <U>h is not [U] not h. On a model with no arrows
+      every view is s0's atoms alone, and so is the truth of any formula
+      at s0, [*]/<*> included: modalities are vacuous, an update keeps no
+      arrow, and [*] ranges over the empty union only.
+    - Shared verdicts. One dict per size, `verdicts`, keeps each decided
+      verdict of a conjunct under (its index, its view of s0), and every
+      valuation of the size reads it: (a) a probe on `valued`, the
+      valuation with no arrows, under s0's atoms; (b) a probe on a model
+      that holds only a tuple of s0's rows, for a conjunct of depth 1,
+      under those rows and the atoms at s0 and their targets; (c) a
+      candidate's conjunct of any local depth, under its full view. A
+      kernel check decides only when it gives the conjunct's truth, so a
+      verdict kept is the one every model with that view has. Bit layouts
+      depend on n, so the dict is not kept across sizes; refused checks
+      are not kept.
+    - Probes. Before any arrow mask of a valuation is looked at, (a)
+      settles each conjunct of local depth 0 and each top-level [*]g or
+      <*>g: `valued` is the empty union that every candidate's walk tries
+      first, so [*]g false there is false on every candidate, and <*>g
+      true there is true on every candidate. Then, per tuple of s0's rows,
+      (b) settles each conjunct of local depth 1. A conjunct decided true
       leaves the plan; one decided false skips the valuation (a) or the
       row tuple (b); a refused probe decides nothing and leaves the
-      conjunct to the candidates. The row tuples that pass form a trie, and
-      `_least_tuples` draws only the canonical candidates whose row tuple
-      is in it, in the same order. A row tuple's fate reads only the rows
-      of the agents that conjuncts of depth 1 mention, so every other
+      conjunct to the candidates. The row tuples that pass form a trie,
+      and `_least_tuples` draws only the canonical candidates whose row
+      tuple is in it, in the same order. A row tuple's fate reads only the
+      rows of the agents that conjuncts of depth 1 mention, so every other
       agent's level holds all its rows over one shared subtrie.
 
     A verdict kept or settled is the one the candidate's own evaluation
@@ -297,12 +324,26 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
                 mask >>= n
         return out
 
-    def near(masks: list, depth: int) -> tuple:
-        """masks cut down to the rows of the states within distance < depth of s0."""
-        seen = 1 if depth else 0
+    def view(entry, masks, depth: int) -> tuple:
+        """The key of a conjunct's verdict: its index and its view of s0 at
+        local depth `depth` on arrow masks `masks` (one per agent): its
+        agents' masks cut down to the rows of R_{depth-1}, and its atoms'
+        masks, packed into one int, cut down to R_depth."""
+        i, _, _, read, atoms, spread = entry
+        if not depth:
+            return i, (), atoms & spread[1]
+        if len(read) < len(masks):
+            masks = [masks[j] for j in read]
+        seen = 1
+        if depth == 1:  # s0's rows are bits 0..n-1, and name the states of R_1
+            masks = tuple([mask & full for mask in masks])
+            for mask in masks:
+                seen |= mask
+            return i, masks, atoms & spread[seen]
         for _ in range(min(depth, n) - 1):
             seen = step(seen, masks)
-        return tuple(mask & row_bits[seen] for mask in masks)
+        masks = tuple([mask & row_bits[seen] for mask in masks])
+        return i, masks, atoms & spread[step(seen, masks)]
 
     reaches_all = {}  # the OR of a candidate's arrow masks -> is every state reachable from s0
 
@@ -318,22 +359,41 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
             reached = reaches_all[union] = seen == full
         return reached
 
-    # each conjunct's local depth (None: checked on every candidate) and read agents
-    plan = [
-        (i, c, local_depth(c), sorted(agents.index(a) for a in signature(c)[1] if a in agents))
-        for i, c in enumerate(conjuncts)
-    ]
-    settling = any(depth in (0, 1) or type(c) in (ArbBox, ArbDiamond) for _, c, depth, _ in plan)
+    # each conjunct's local depth (None: checked on every candidate), the
+    # indices of the agents and the atoms it mentions, and per state mask
+    # that mask repeated in one n-bit field per atom: the atoms' masks,
+    # packed into the same fields, are cut down to a state set by one &
+    plan = []
+    for i, c in enumerate(conjuncts):
+        atoms_c, agents_c = signature(c)
+        read = [j for j, a in enumerate(agents) if a in agents_c]
+        atoms = [k for k, p in enumerate(props) if p in atoms_c]
+        spread = [sum(mask << n * j for j in range(len(atoms))) for mask in range(1 << n)]
+        plan.append((i, c, local_depth(c), read, atoms, spread))
+    verdicts = {}  # view() key -> decided verdict, for every valuation of this size
 
-    def valuation_plan(valued, probe) -> list | None:
-        """(a): the plan less the conjuncts valued decides true, or None
+    def settle(key, m, c, probe: list) -> bool | None:
+        """c's check on m by the valuation's probe evaluator (probe[0],
+        built on first use), kept under key if it decides."""
+        if not probe:
+            probe.append(core_checker(budget))
+        verdict = _settled(probe[0], m, c)
+        if verdict is not None:
+            verdicts[key] = verdict
+        return verdict
+
+    def valuation_plan(valued, probe, entries) -> list | None:
+        """(a): the entries less the conjuncts valued decides true, or None
         when it decides one false."""
         kept = []
-        for entry in plan:
+        for entry in entries:
             c, depth = entry[1], entry[2]
             kind = type(c)
             if depth == 0 or kind is ArbBox or kind is ArbDiamond:
-                holds = _settled(probe, valued, c)
+                key = view(entry, (), 0)
+                holds = verdicts.get(key)
+                if holds is None:
+                    holds = settle(key, valued, c, probe)
                 if holds is False and kind is not ArbDiamond:
                     return None
                 if holds and kind is not ArbBox:
@@ -341,44 +401,48 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
             kept.append(entry)
         return kept
 
-    def rows_pass(row0: tuple, kept, valued, probe, verdicts) -> bool:
-        """(b): False when a conjunct of depth 1, reached before any whose
-        probe refuses, is false with s0's rows row0."""
+    def rows_pass(row0: tuple, shallow, valued, probe) -> bool:
+        """(b): False when a conjunct of `shallow`, those of depth 1,
+        reached before any whose probe refuses, is false with s0's rows
+        row0."""
         rowed = None
-        for i, c, depth, read in kept:
-            if depth == 1:
-                key = (i, tuple(row0[j] for j in read))  # near(masks, 1) of a candidate
-                verdict = verdicts.get(key)
+        for entry in shallow:
+            key = view(entry, row0, 1)  # row0 holds a candidate's rows of s0, and no other
+            verdict = verdicts.get(key)
+            if verdict is None:
+                if rowed is None:
+                    rowed = valued._derive(dict(zip(agents, map(rows[0].__getitem__, row0))))
+                verdict = settle(key, rowed, entry[1], probe)
                 if verdict is None:
-                    if rowed is None:
-                        rowed = valued._derive(dict(zip(agents, map(rows[0].__getitem__, row0))))
-                    verdict = _settled(probe, rowed, c)
-                    if verdict is None:
-                        return True
-                    verdicts[key] = verdict
-                if not verdict:
-                    return False
+                    return True
+            if not verdict:
+                return False
         return True
 
     for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
         valued = base._derive(base.arrows, dict(zip(props, map(state_sets.__getitem__, prop_masks))))
-        probe = core_checker(budget) if settling else None
-        kept = valuation_plan(valued, probe)
+        probe = []  # the valuation's one probe evaluator, once built
+        entries = [
+            (i, c, depth, read, sum(prop_masks[k] << n * j for j, k in enumerate(atoms)), spread)
+            for i, c, depth, read, atoms, spread in plan
+        ]
+        kept = valuation_plan(valued, probe, entries)
         if kept is None:
             continue
-        verdicts = {}  # (conjunct index, its cut masks) -> verdict, for this valuation
         # (b): the trie of the row tuples that pass; a fate reads only the
         # rows of the agents that conjuncts of depth 1 read
-        shallow = {j for entry in kept if entry[2] == 1 for j in entry[3]}
-        trie = _row_trie(0, [0] * len(agents), shallow, n, lambda row0: rows_pass(row0, kept, valued, probe, verdicts))
+        shallow = [entry for entry in kept if entry[2] == 1]
+        row_agents = {j for entry in shallow for j in entry[3]}
+        trie = _row_trie(0, [0] * len(agents), row_agents, n, lambda row0: rows_pass(row0, shallow, valued, probe))
         if trie is False:
             continue
         for arrow_masks in arrow_tuples(trie):
             if not point_generated(arrow_masks):
                 continue
             m = None
-            for i, c, depth, read in kept:
-                key = depth is not None and (i, near([arrow_masks[j] for j in read], depth))
+            for entry in kept:
+                c, depth = entry[1], entry[2]
+                key = depth is not None and view(entry, arrow_masks, depth)
                 verdict = verdicts.get(key)
                 if verdict is None:
                     if m is None:

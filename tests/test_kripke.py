@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import aaul
 from aaul import (
     KripkeModel,
     ModelFormatError,
@@ -108,6 +112,20 @@ def test_load_error_line_numbers():
         load_model("states: w\n# fine\nagent a: w->x\n")
     assert str(exc.value) == "line 3: arrow w->x for agent 'a' leaves declared states"
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("seed", ["1", "4"])
+def test_bad_arrow_named_in_file_order_under_any_hash_seed(seed):
+    # the arrows are checked in the order given, not in the order of the
+    # frozenset they are kept in, which changes with the hash seed
+    src = os.path.dirname(os.path.dirname(aaul.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "aaul.cli", "check", "-", "true"],
+        input="states: s\nagent a: s->t u->s s->v\n", capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: line 2: arrow s->t for agent 'a' leaves declared states\n"
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from aaul import (
     And,
     ArbBox,
     ArbDiamond,
+    Atom,
     Box,
     Budget,
     Clause,
@@ -22,6 +23,7 @@ from aaul import (
     Iff,
     Not,
     Or,
+    TOP,
     Update,
     UpdateBox,
     UpdateDiamond,
@@ -53,8 +55,8 @@ from helpers import (
 def evaluators_built(cache=True):
     """Counts the evaluators sat-search builds, one per candidate it has to
     evaluate, each as the list of (model, formula) pairs it is asked
-    about; cache=False turns off deciding a conjunct once per
-    neighbourhood, by giving every conjunct no local depth."""
+    about; cache=False turns off deciding a conjunct once per view of
+    s0, by giving every conjunct no local depth."""
     built = []
     real = search.core_checker
 
@@ -492,11 +494,91 @@ def test_sat_search_cache_changes_no_decision():
     assert saved >= 10000 and naive_checked >= 10
 
 
+def _edge_conjunct(rng, agents, props, depth: int, atom: str):
+    """A conjunct of local depth `depth` that reads `atom` at distance
+    exactly `depth` from s0: a chain of modalities with a literal or `true`
+    at each step or, at depth 2, an update whose clause formulas look one
+    step, over a chain of one."""
+    literal = lambda: rng.choice((TOP, Atom(rng.choice(props)), Not(Atom(rng.choice(props)))))
+    if depth == 2 and rng.random() < 0.4:
+        look = lambda: rng.choice((Box, Diamond))(rng.choice(agents), literal())
+        clauses = tuple(
+            Clause(look(), rng.choice(agents), rng.choice((look(), literal()))) for _ in range(rng.randint(1, 2))
+        )
+        body = _edge_conjunct(rng, agents, props, 1, atom)
+        return rng.choice((UpdateBox, UpdateDiamond))(Update(clauses), body)
+    f = rng.choice((Atom(atom), Not(Atom(atom))))
+    for _ in range(depth):
+        f = rng.choice((Box, Diamond, Diamond))(rng.choice(agents), And(literal(), f))
+    return f
+
+
+def test_sat_search_shares_views_across_valuations():
+    """A conjunct of local depth d decided once per view of s0 (its rows
+    within distance < d, its atoms within distance <= d), across every
+    valuation of a size: against the same search deciding every conjunct
+    on every candidate, and against the reference, which checks f whole.
+    Each formula has a conjunct that reads an atom at distance exactly d
+    (its view's edge) and one that reads another atom one step further."""
+    rng = random.Random(20261020)
+    shapes = ((("a",), ("p", "q"), 2), (("a", "b"), ("p", "q"), 2), (("a",), ("p", "q"), 3), (("a",), ("p",), 3))
+    found = refuted = naive_checked = 0
+    checks = {True: 0, False: 0}  # kernel checks, with and without shared verdicts
+    for _ in range(40):
+        agents, props, max_states = rng.choice(shapes)
+        d = rng.choice((1, 2))
+        near, far = rng.sample(props, 2) if len(props) == 2 else props * 2
+        # a literal at s0 on the near atom: where the chain needs the other
+        # one at distance d, s0 cannot be its own successor
+        parts = [
+            _edge_conjunct(rng, agents, props, d, near),
+            _edge_conjunct(rng, agents, props, d + 1, far),
+            rng.choice((Atom(near), Not(Atom(near)))),
+        ]
+        f = conj(rng.sample(parts, len(parts)))
+        with evaluators_built() as cached_built:
+            shared = _outcome(f, max_states, agents, props, Budget())
+        with evaluators_built(cache=False) as uncached_built:
+            assert shared == _outcome(f, max_states, agents, props, Budget()), print_formula(f)
+        checks[True] += sum(map(len, cached_built))
+        checks[False] += sum(map(len, uncached_built))
+        found += isinstance(shared, str)
+        refuted += shared is None
+        if max_states == 2 or len(props) == 1:
+            expected = naive_sat_search(f, max_states, agents, props)
+            assert shared == (None if expected is None else save_model(expected)), print_formula(f)
+            naive_checked += 1
+    assert found >= 20 and refuted >= 10 and naive_checked >= 25
+    assert checks[True] * 3 < checks[False]
+
+
+def test_sat_search_keeps_one_verdict_dict_per_size():
+    # both conjuncts have local depth 2; the view of s0->s1 and s1->s0 at
+    # two states has the arrow mask of s0->s1 and s0->s2 at three, so one
+    # dict across sizes would reject the three-state model with the
+    # verdict of the two-state one
+    f = parse_formula("<a>(p & [a]false) & <a>(~p & [a]false)")
+    assert sat_search(f, 2) is None and naive_sat_search(f, 2, ("a",), ("p",)) is None
+    expected = "states: s0 s1 s2\nagent a: s0->s1 s0->s2\nval p: s1\npoint: s0\n"
+    assert save_model(sat_search(f, 3)) == save_model(naive_sat_search(f, 3, ("a",), ("p",))) == expected
+
+
+def test_sat_search_kernel_checks_pinned():
+    # every row of s0 fails [a]~q or the update's <a>q at three states; each
+    # conjunct is checked once per view of s0, whatever the valuation
+    f = parse_formula("<{(p,a,q)}><a>q & [a]~q")
+    with evaluators_built() as built:
+        assert search._sat_search_n(search._conjunct_order(f), 3, ("a",), ("p", "q"), Budget()) is None
+    assert sum(map(len, built)) == 84
+
+
 def test_sat_search_builds_fewer_evaluators():
     # "<a>p & [a]~p" is unsatisfiable, so every point-generated candidate up
     # to 3 states is visited; its conjuncts read only the arrows out of s0,
-    # so each is decided once per row of s0, by the one evaluator of its
-    # valuation (2 + 4 + 6 canonical valuations), and no candidate is built
+    # so each is decided once per view of s0 (a row of s0, and p where it
+    # leads), by the probe evaluator of the first valuation to show it: each
+    # of the 2 + 4 + 6 canonical valuations builds one, and no candidate is
+    # built
     argv = ["sat-search", "<a>p & [a]~p", "--max-states", "3"]
     with evaluators_built() as cached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
