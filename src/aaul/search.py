@@ -57,6 +57,9 @@ def sat_search(
     if max_states < 1:
         raise AaulError("max_states must be at least 1")
     conjuncts = _conjunct_order(f)
+    # the conjuncts' plans, their verdicts and the types that key them name
+    # no size, so every size shares them
+    shared = _plans(conjuncts, agents, props), {}, {}
 
     seen = 0
     for n in range(1, max_states + 1):
@@ -72,7 +75,7 @@ def sat_search(
             raise AaulError(
                 f"relabelling table at {n} states needs {table} entries, over limit {limit}"
             )
-        found = _sat_search_n(conjuncts, n, agents, props, budget)
+        found = _sat_search_n(conjuncts, n, agents, props, budget, shared)
         if found is not None:
             holds = core_checker(budget)(found, f)  # raises where the checker refuses
             assert found.point in holds
@@ -193,6 +196,19 @@ def _group(c) -> int:
     return int(any(isinstance(g, (UpdateBox, UpdateDiamond)) for g in subformulas(c)))
 
 
+def _plans(conjuncts, agents, props) -> tuple:
+    """Per conjunct, in order: its index, itself, its local depth (None:
+    checked on every candidate), the indices of the agents it mentions, and
+    the mask of the atoms it mentions (bit k for props[k])."""
+    out = []
+    for i, c in enumerate(conjuncts):
+        atoms_c, agents_c = signature(c)
+        read = tuple(j for j, a in enumerate(agents) if a in agents_c)
+        atoms = sum(1 << k for k, p in enumerate(props) if p in atoms_c)
+        out.append((i, c, local_depth(c), read, atoms))
+    return tuple(out)
+
+
 def _settled(check, m: KripkeModel, c) -> bool | None:
     """Whether c holds at m's point by `check`, or None when the check
     refuses: a refused check decides nothing."""
@@ -202,11 +218,13 @@ def _settled(check, m: KripkeModel, c) -> bool | None:
         return None
 
 
-def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | None:
+def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> KripkeModel | None:
     """The first model with n states, in candidate order, that satisfies
     every one of the formulas `conjuncts` (in `_conjunct_order`) at s0,
     among those in canonical form in which s0 reaches every state; None if
-    there is none.
+    there is none. `shared` holds the conjuncts' `_plans`, the verdicts and
+    the type table, for one search to pass from size to size; None starts
+    them afresh.
 
     A candidate is a tuple of n-bit valuation masks, one per proposition,
     then n*n-bit arrow masks, one per agent, visited in itertools.product
@@ -235,55 +253,62 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
       which skip the memo). So every evaluation the search makes on a
       candidate is one the reference makes on it too, and refuses only if
       the reference's does.
-    - Views. Let g be quantifier-free, of local depth d, A the agents and P
-      the atoms it mentions, and R_k the states within distance <= k of s0
-      along A's arrows. Then g's truth at s0 depends only on its view of
-      s0: A's rows (arrows out of one state) at the states of R_{d-1}
-      (none when d = 0), and P's values at the states of R_d. Those rows
-      fix R_d, so two models with the same view have the same R_d. By
-      induction on g, for every state s and both models (with R_k(s)
-      taken from s): an atom or a constant reads s alone; a connective
-      its parts, whose views are parts of g's; [a]h, d = e + 1, reads a's
-      row at s and h at each successor t, and R_k(t) lies in R_{k+1}(s),
-      so h's view at t is part of g's at s. For [U]h, the updated model
-      M^U keeps the valuation and a subset of the arrows: u -a-> v when it
-      is an arrow of M and some clause (pre, a, post) has pre true at u
-      and post at v, judged in M. If h has depth 0, M^U agrees with M at s
-      on P, and d = 0. Otherwise d = e + c, with e = depth(h) > 0 and c
-      the depth of U's deepest clause formula. h's view in M^U reads rows
-      at u in R^U_{e-1}(s), inside R_{e-1}(s), and atoms in R^U_e(s),
-      inside R_e(s). Such a row of M^U needs M's row at u (u in R_{d-1}),
-      pre at u (its view lies in R_{e-1+c}(s) = R_{d-1}(s)) and post at
-      each successor v of u (v in R_e(s), its view in R_{e+c}(s) = R_d(s)).
-      So the two updated models agree on h's view, R^U_k included, and by
-      induction on h; <U>h is not [U] not h. On a model with no arrows
-      every view is s0's atoms alone, and so is the truth of any formula
-      at s0, [*]/<*> included: modalities are vacuous, an update keeps no
-      arrow, and [*] ranges over the empty union only.
-    - Shared verdicts. One dict per size, `verdicts`, keeps each decided
-      verdict of a conjunct under (its index, its view of s0), and every
-      valuation of the size reads it: (a) a probe on `valued`, the
-      valuation with no arrows, under s0's atoms; (b) a probe on a model
+    - Types. Fix agents A and atoms P. A state's type_0 is the set of P's
+      atoms true at it, and its type_{k+1} is its type_0 with, per agent of
+      A, the set of its successors' type_k. States of any two models have
+      the same type_k exactly when they are k-bisimilar over A and P
+      (u ~_k u'): ~_0 is agreement on P, and u ~_{k+1} u' when u ~_0 u' and
+      each a-successor of either, a in A, has one of the other related by
+      ~_k; so ~_k implies ~_j for j <= k. A quantifier-free g of local
+      depth d, over its own agents and atoms, has the same truth at states
+      related by ~_d. By induction on g: an atom or a constant reads ~_0; a
+      connective reads its parts, of depth <= d; [a]h, d = e + 1, relates
+      each a-successor of either side to one of the other by ~_e. For [U]h,
+      let c be the depth of U's deepest clause formula. The updated model
+      M^U keeps the valuation, and has u -a-> v when that is an arrow of M
+      and some clause (pre, a, post) has pre true at u and post at v, judged
+      in M. If u ~_{k+c} u', then u ~_k u' in M^U and M'^U, by induction on
+      k: ~_0 holds since the valuation is kept. For k + 1, an arrow u -a-> v
+      of M^U comes from a clause whose pre (depth <= c) holds at u, so at
+      u'; M' has an arrow u' -a-> v' with v ~_{k+c} v', where post (depth <=
+      c) holds as it does at v, so M'^U keeps it, and v ~_k v' there. An
+      agent with no clause has no arrow on either side. If h has depth 0,
+      then d = 0, and the kept valuation settles h; otherwise d = e + c with
+      e = depth(h) > 0, and u ~_d u' gives u ~_e u' in the updated models,
+      where h agrees. <U>h is not [U] not h. An agent the candidates do not
+      declare has no arrows in any of them, and a check that decides has
+      not read it. On a model with no arrows, the truth of any formula at
+      s0, [*]/<*> included, reads s0's atoms alone: modalities are vacuous,
+      an update keeps no arrow, and [*] ranges over the empty union only.
+    - Shared verdicts. One dict, `verdicts`, keeps each decided verdict of
+      a conjunct under its index and s0's type_d over its own agents and
+      atoms, d its local depth. A type_0 is a mask of atoms; above it the
+      type is written out at the top, (type_0, per agent read the set of
+      the successors' type_{d-1}), and `types` gives each type_k below the
+      top an int of its own, so equal ints at one level are equal types.
+      Types name no state and no size, so the dict serves every valuation
+      of every size: (a) a probe on the valuation's model with no
+      arrows, keyed by s0's type_0 (for a [*]/<*> conjunct the key stands
+      for that model alone, and only (a) reads it); (b) a probe on a model
       that holds only a tuple of s0's rows, for a conjunct of depth 1,
-      under those rows and the atoms at s0 and their targets; (c) a
-      candidate's conjunct of any local depth, under its full view. A
-      kernel check decides only when it gives the conjunct's truth, so a
-      verdict kept is the one every model with that view has. Bit layouts
-      depend on n, so the dict is not kept across sizes; refused checks
-      are not kept.
+      whose type_1 at s0 is that of every candidate with those rows of s0;
+      (c) a candidate's conjunct of any local depth. A kernel check decides
+      only when it gives the conjunct's truth, so a verdict kept is the one
+      every model with that type has; refused checks are not kept.
     - Probes. Before any arrow mask of a valuation is looked at, (a)
       settles each conjunct of local depth 0 and each top-level [*]g or
-      <*>g: `valued` is the empty union that every candidate's walk tries
-      first, so [*]g false there is false on every candidate, and <*>g
-      true there is true on every candidate. Then, per tuple of s0's rows,
-      (b) settles each conjunct of local depth 1. A conjunct decided true
-      leaves the plan; one decided false skips the valuation (a) or the
-      row tuple (b); a refused probe decides nothing and leaves the
-      conjunct to the candidates. The row tuples that pass form a trie,
-      and `_least_tuples` draws only the canonical candidates whose row
-      tuple is in it, in the same order. A row tuple's fate reads only the
-      rows of the agents that conjuncts of depth 1 mention, so every other
-      agent's level holds all its rows over one shared subtrie.
+      <*>g: the model with no arrows is the empty union that every
+      candidate's walk tries first, so [*]g false there is false on every
+      candidate, and <*>g true there is true on every candidate. Then, per
+      tuple of s0's rows, (b) settles each conjunct of local depth 1. A
+      conjunct decided true leaves the plan; one decided false skips the
+      valuation (a) or the row tuple (b); a refused probe decides nothing
+      and leaves the conjunct to the candidates. The row tuples that pass
+      form a trie, and `_least_tuples` draws only the canonical candidates
+      whose row tuple is in it, in the same order. A row tuple's fate reads
+      only the rows of the agents that conjuncts of depth 1 mention, so
+      every other agent's level holds all its rows over one shared
+      subtrie.
 
     A verdict kept or settled is the one the candidate's own evaluation
     gives wherever that decides. So where the reference decides, every
@@ -294,13 +319,19 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
     # validated once per size, so a bad agent or proposition name is
     # reported here; the candidates, over the same names, are derived from
     # it unchecked
-    base = KripkeModel(states, agents, props, {}, {}, point=states[0])
-    # per-size tables, O(n * 2^n) entries: the states of each n-bit mask,
-    # for each state i the arrows out of it, indexed by row i (bits
-    # i*n .. i*n+n-1) of an arrow mask, and the rows of each state mask
+    try:
+        base = KripkeModel(states, agents, props, {}, {}, point=states[0])
+    except ValueError as e:  # the constructor's own error is not an AaulError
+        raise AaulError(str(e)) from None
+    plans, verdicts, types = shared or (_plans(conjuncts, agents, props), {}, {})
+    # per-size tables, O(n * 2^n) entries: the states of each n-bit mask as
+    # names and as indices, for each state i the arrows out of it, indexed
+    # by row i (bits i*n .. i*n+n-1) of an arrow mask, and the rows of each
+    # state mask
     state_sets = tuple(
         frozenset(s for j, s in enumerate(states) if (mask >> j) & 1) for mask in range(1 << n)
     )
+    members = tuple(tuple(j for j in range(n) if (mask >> j) & 1) for mask in range(1 << n))
     rows = tuple(
         tuple(frozenset((s, t) for t in targets) for targets in state_sets) for s in states
     )
@@ -324,26 +355,38 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
                 mask >>= n
         return out
 
-    def view(entry, masks, depth: int) -> tuple:
-        """The key of a conjunct's verdict: its index and its view of s0 at
-        local depth `depth` on arrow masks `masks` (one per agent): its
-        agents' masks cut down to the rows of R_{depth-1}, and its atoms'
-        masks, packed into one int, cut down to R_depth."""
-        i, _, _, read, atoms, spread = entry
+    def level(k: int, read, atoms, t0, arrow_masks, memo) -> tuple:
+        """Each state's type_k over the agents `read` and the atoms `atoms`,
+        on arrow masks arrow_masks, from their type_0 t0 (k = 0: t0 itself;
+        else ints of `types`), kept in memo."""
+        if not k:
+            return t0
+        key = k, read, atoms
+        out = memo.get(key)
+        if out is None:
+            get = level(k - 1, read, atoms, t0, arrow_masks, memo).__getitem__
+            out = memo[key] = tuple(
+                [
+                    types.setdefault(
+                        (t0[s], tuple([frozenset(map(get, members[arrow_masks[j] >> s * n & full])) for j in read])),
+                        len(types),
+                    )
+                    for s in range(n)
+                ]
+            )
+        return out
+
+    def s0_key(entry, t0, arrow_masks, memo) -> tuple:
+        """The key of a verdict of entry's conjunct: its index and s0's
+        type_d over its agents and atoms, d its local depth, written out at
+        the top (type_0, then per agent read the set of the successors'
+        type_{d-1}); only s0's rows, the low n bits of each arrow mask, are
+        read there."""
+        i, _, depth, read, atoms = entry
         if not depth:
-            return i, (), atoms & spread[1]
-        if len(read) < len(masks):
-            masks = [masks[j] for j in read]
-        seen = 1
-        if depth == 1:  # s0's rows are bits 0..n-1, and name the states of R_1
-            masks = tuple([mask & full for mask in masks])
-            for mask in masks:
-                seen |= mask
-            return i, masks, atoms & spread[seen]
-        for _ in range(min(depth, n) - 1):
-            seen = step(seen, masks)
-        masks = tuple([mask & row_bits[seen] for mask in masks])
-        return i, masks, atoms & spread[step(seen, masks)]
+            return i, t0[0]
+        get = (t0 if depth == 1 else level(depth - 1, read, atoms, t0, arrow_masks, memo)).__getitem__
+        return i, t0[0], tuple([frozenset(map(get, members[arrow_masks[j] & full])) for j in read])
 
     reaches_all = {}  # the OR of a candidate's arrow masks -> is every state reachable from s0
 
@@ -359,19 +402,6 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
             reached = reaches_all[union] = seen == full
         return reached
 
-    # each conjunct's local depth (None: checked on every candidate), the
-    # indices of the agents and the atoms it mentions, and per state mask
-    # that mask repeated in one n-bit field per atom: the atoms' masks,
-    # packed into the same fields, are cut down to a state set by one &
-    plan = []
-    for i, c in enumerate(conjuncts):
-        atoms_c, agents_c = signature(c)
-        read = [j for j, a in enumerate(agents) if a in agents_c]
-        atoms = [k for k, p in enumerate(props) if p in atoms_c]
-        spread = [sum(mask << n * j for j in range(len(atoms))) for mask in range(1 << n)]
-        plan.append((i, c, local_depth(c), read, atoms, spread))
-    verdicts = {}  # view() key -> decided verdict, for every valuation of this size
-
     def settle(key, m, c, probe: list) -> bool | None:
         """c's check on m by the valuation's probe evaluator (probe[0],
         built on first use), kept under key if it decides."""
@@ -382,18 +412,19 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
             verdicts[key] = verdict
         return verdict
 
-    def valuation_plan(valued, probe, entries) -> list | None:
-        """(a): the entries less the conjuncts valued decides true, or None
-        when it decides one false."""
+    def valuation_plan(valuation, probe, atoms0: int) -> list | None:
+        """(a): the plans less the conjuncts that the model with no arrows
+        and `valuation` decides true, or None when it decides one false;
+        atoms0 holds s0's atoms."""
         kept = []
-        for entry in entries:
+        for entry in plans:
             c, depth = entry[1], entry[2]
             kind = type(c)
             if depth == 0 or kind is ArbBox or kind is ArbDiamond:
-                key = view(entry, (), 0)
+                key = entry[0], atoms0 & entry[4]  # s0_key's, at depth 0
                 holds = verdicts.get(key)
                 if holds is None:
-                    holds = settle(key, valued, c, probe)
+                    holds = settle(key, base._derive(base.arrows, valuation), c, probe)
                 if holds is False and kind is not ArbDiamond:
                     return None
                 if holds and kind is not ArbBox:
@@ -401,17 +432,17 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
             kept.append(entry)
         return kept
 
-    def rows_pass(row0: tuple, shallow, valued, probe) -> bool:
+    def rows_pass(row0: tuple, shallow, valuation, probe, zeros) -> bool:
         """(b): False when a conjunct of `shallow`, those of depth 1,
         reached before any whose probe refuses, is false with s0's rows
-        row0."""
+        row0; zeros[atoms] is each state's type_0 over those atoms."""
         rowed = None
         for entry in shallow:
-            key = view(entry, row0, 1)  # row0 holds a candidate's rows of s0, and no other
+            key = s0_key(entry, zeros[entry[4]], row0, None)  # at depth 1, reads s0's rows alone
             verdict = verdicts.get(key)
             if verdict is None:
                 if rowed is None:
-                    rowed = valued._derive(dict(zip(agents, map(rows[0].__getitem__, row0))))
+                    rowed = base._derive(dict(zip(agents, map(rows[0].__getitem__, row0))), valuation)
                 verdict = settle(key, rowed, entry[1], probe)
                 if verdict is None:
                     return True
@@ -420,33 +451,34 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
         return True
 
     for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
-        valued = base._derive(base.arrows, dict(zip(props, map(state_sets.__getitem__, prop_masks))))
+        valuation = dict(zip(props, map(state_sets.__getitem__, prop_masks)))
         probe = []  # the valuation's one probe evaluator, once built
-        entries = [
-            (i, c, depth, read, sum(prop_masks[k] << n * j for j, k in enumerate(atoms)), spread)
-            for i, c, depth, read, atoms, spread in plan
-        ]
-        kept = valuation_plan(valued, probe, entries)
+        # each state's atoms, bit k for props[k]
+        atoms_at = tuple([sum([(mask >> s & 1) << k for k, mask in enumerate(prop_masks)]) for s in range(n)])
+        kept = valuation_plan(valuation, probe, atoms_at[0])
         if kept is None:
             continue
         # (b): the trie of the row tuples that pass; a fate reads only the
         # rows of the agents that conjuncts of depth 1 read
         shallow = [entry for entry in kept if entry[2] == 1]
         row_agents = {j for entry in shallow for j in entry[3]}
-        trie = _row_trie(0, [0] * len(agents), row_agents, n, lambda row0: rows_pass(row0, shallow, valued, probe))
+        zeros = {entry[4]: tuple([a & entry[4] for a in atoms_at]) for entry in kept}
+        trie = _row_trie(
+            0, [0] * len(agents), row_agents, n, lambda row0: rows_pass(row0, shallow, valuation, probe, zeros)
+        )
         if trie is False:
             continue
         for arrow_masks in arrow_tuples(trie):
             if not point_generated(arrow_masks):
                 continue
-            m = None
+            m, memo = None, {}
             for entry in kept:
                 c, depth = entry[1], entry[2]
-                key = depth is not None and view(entry, arrow_masks, depth)
+                key = depth is not None and s0_key(entry, zeros[entry[4]], arrow_masks, memo)
                 verdict = verdicts.get(key)
                 if verdict is None:
                     if m is None:
-                        m = valued._derive(dict(zip(agents, map(arrows_of, arrow_masks))))
+                        m = base._derive(dict(zip(agents, map(arrows_of, arrow_masks))), valuation)
                         check = core_checker(budget)
                     verdict = states[0] in check(m, c)
                     if key:
@@ -454,5 +486,5 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget) -> KripkeModel | Non
                 if not verdict:
                     break
             else:
-                return m or valued._derive(dict(zip(agents, map(arrows_of, arrow_masks))))
+                return m or base._derive(dict(zip(agents, map(arrows_of, arrow_masks))), valuation)
     return None

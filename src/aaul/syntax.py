@@ -469,10 +469,12 @@ def is_quantifier_free(f: Formula) -> bool:
 
 def local_depth(f: Formula) -> int | None:
     """How far from a state the formula f looks, or None when f has a
-    [*]/<*>. Along the arrows of the agents f mentions, f's truth at a
-    state s depends only on the arrows out of the states within distance <
-    local_depth(f) of s, and on the atoms f mentions at the states within
-    distance <= local_depth(f) (proved in `search._sat_search_n`).
+    [*]/<*>. f has the same truth at any two states, of one model or of
+    two, that are d-bisimilar over the agents and atoms f mentions, d =
+    local_depth(f) (proved in `search._sat_search_n`). So along those
+    agents' arrows, f's truth at a state s depends only on the arrows out
+    of the states within distance < d of s, and on f's atoms at the states
+    within distance <= d.
 
     Atoms, true and false look at s alone (0); [a]g and <a>g one step
     further than g; the connectives as far as their farthest part. [U]g and

@@ -55,7 +55,7 @@ from helpers import (
 def evaluators_built(cache=True):
     """Counts the evaluators sat-search builds, one per candidate it has to
     evaluate, each as the list of (model, formula) pairs it is asked
-    about; cache=False turns off deciding a conjunct once per view of
+    about; cache=False turns off deciding a conjunct once per type of
     s0, by giving every conjunct no local depth."""
     built = []
     real = search.core_checker
@@ -126,6 +126,12 @@ def test_sat_search_library_entry():
         sat_search(parse_formula("<a>p & [a]~p"), 3, limit=100)
     with pytest.raises(AaulError, match="max_states must be at least 1"):
         sat_search(parse_formula("p"), 0)
+    # a repeated or bad name is refused as the package's error, in the
+    # model constructor's words
+    with pytest.raises(AaulError, match="duplicate agent name 'a'"):
+        sat_search(parse_formula("p"), 2, agents=("a", "a"))
+    with pytest.raises(AaulError, match="bad proposition name 'p q'"):
+        sat_search(parse_formula("p"), 1, props=("p q",))
 
 
 def test_sat_search_skips_candidates_s0_does_not_reach():
@@ -514,12 +520,13 @@ def _edge_conjunct(rng, agents, props, depth: int, atom: str):
 
 
 def test_sat_search_shares_views_across_valuations():
-    """A conjunct of local depth d decided once per view of s0 (its rows
-    within distance < d, its atoms within distance <= d), across every
-    valuation of a size: against the same search deciding every conjunct
-    on every candidate, and against the reference, which checks f whole.
-    Each formula has a conjunct that reads an atom at distance exactly d
-    (its view's edge) and one that reads another atom one step further."""
+    """A conjunct of local depth d decided once per type of s0, which its
+    view fixes (its rows within distance < d, its atoms within distance <=
+    d), across every valuation: against the same search deciding every
+    conjunct on every candidate, and against the reference, which checks f
+    whole. Each formula has a conjunct that reads an atom at distance
+    exactly d (its view's edge) and one that reads another atom one step
+    further."""
     rng = random.Random(20261020)
     shapes = ((("a",), ("p", "q"), 2), (("a", "b"), ("p", "q"), 2), (("a",), ("p", "q"), 3), (("a",), ("p",), 3))
     found = refuted = naive_checked = 0
@@ -552,11 +559,83 @@ def test_sat_search_shares_views_across_valuations():
     assert checks[True] * 3 < checks[False]
 
 
-def test_sat_search_keeps_one_verdict_dict_per_size():
-    # both conjuncts have local depth 2; the view of s0->s1 and s1->s0 at
-    # two states has the arrow mask of s0->s1 and s0->s2 at three, so one
-    # dict across sizes would reject the three-state model with the
-    # verdict of the two-state one
+def _typed_conjunct(rng, agents, props, depth: int):
+    """A conjunct of local depth `depth`: an atom at s0 joined by &, | or
+    <-> to a chain of modalities with a literal or `true` at each step or,
+    a step shorter, an update whose clause formulas look one step."""
+    literal = lambda: rng.choice((TOP, Atom(rng.choice(props)), Not(Atom(rng.choice(props)))))
+    chain = lambda k: _edge_conjunct(rng, agents, props, k, rng.choice(props)) if k else literal()
+    if rng.random() < 0.4:
+        look = lambda: rng.choice((Box, Diamond))(rng.choice(agents), literal())
+        clauses = tuple(
+            Clause(look(), rng.choice(agents), rng.choice((look(), literal()))) for _ in range(rng.randint(1, 2))
+        )
+        deep = rng.choice((UpdateBox, UpdateDiamond))(Update(clauses), chain(depth - 1))
+    else:
+        deep = chain(depth)
+    return rng.choice((And, Or, Iff))(Atom(rng.choice(props)), deep)
+
+
+def _bisim_type(m, s, k: int, agents, atoms):
+    """s's type_k in m over `agents` and `atoms`, built from the model as
+    it is: its atoms, and per agent the set of its successors' type_{k-1}."""
+    here = frozenset(p for p in atoms if s in m.valuation[p])
+    if k == 0:
+        return here
+    return here, tuple(
+        frozenset(_bisim_type(m, t, k - 1, agents, atoms) for u, t in m.arrows[a] if u == s) for a in agents
+    )
+
+
+def test_sat_search_types_match_naive_reference():
+    """Verdicts keyed by s0's type, shared by every valuation of every size,
+    against the same search deciding every conjunct on every candidate and
+    against the reference, which checks f whole, at 1 to 3 states, with
+    conjuncts of local depth 2 and 3 that read s0's atoms too. Each
+    conjunct is checked at most once per type of s0 (computed here from the
+    models checked), so candidates that differ only in which successor
+    carries which atoms, in two successors with the same atoms, or in s0
+    being its own successor, share one verdict."""
+    rng = random.Random(20261103)
+    shapes = ((("a",), ("p",), 3), (("a",), ("p", "q"), 2), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 1))
+    found = refuted = 0
+    checks = {True: 0, False: 0}  # kernel checks, with and without shared verdicts
+    for _ in range(45):
+        agents, props, max_states = rng.choice(shapes)
+        parts = [_typed_conjunct(rng, agents, props, d) for d in rng.sample((2, 3), rng.randint(1, 2))]
+        parts += [_cache_conjunct(rng, agents, props) for _ in range(rng.randint(0, 1))]
+        f = conj(rng.sample(parts, len(parts)))
+        with evaluators_built() as built:
+            shared = _outcome(f, max_states, agents, props, Budget())
+        with evaluators_built(cache=False) as uncached:
+            assert shared == _outcome(f, max_states, agents, props, Budget()), print_formula(f)
+        expected = naive_sat_search(f, max_states, agents, props)
+        assert shared == (None if expected is None else save_model(expected)), print_formula(f)
+        found += isinstance(shared, str)
+        refuted += shared is None
+        if isinstance(shared, str):
+            built.pop()  # the check of f whole on the model found
+        typed = set()
+        for m, c in (pair for asked in built for pair in asked):
+            d = local_depth(c)
+            if d is not None:
+                atoms, names = signature(c)
+                key = c, _bisim_type(m, m.point, d, [a for a in agents if a in names], atoms)
+                assert key not in typed, print_formula(f)
+                typed.add(key)
+        checks[True] += sum(map(len, built))
+        checks[False] += sum(map(len, uncached))
+    assert found >= 20 and refuted >= 10
+    assert checks[True] * 3 < checks[False]
+
+
+def test_sat_search_types_do_not_collide_across_sizes():
+    # both conjuncts have local depth 2, and one verdict dict serves every
+    # size. A positional key would collide: the arrow mask of s0->s1 and
+    # s1->s0 at two states is that of s0->s1 and s0->s2 at three, and the
+    # two-state verdict would reject the three-state model. Types name no
+    # state: s0's successor has a successor at two states, and neither of
+    # its successors has one at three
     f = parse_formula("<a>(p & [a]false) & <a>(~p & [a]false)")
     assert sat_search(f, 2) is None and naive_sat_search(f, 2, ("a",), ("p",)) is None
     expected = "states: s0 s1 s2\nagent a: s0->s1 s0->s2\nval p: s1\npoint: s0\n"
@@ -565,26 +644,29 @@ def test_sat_search_keeps_one_verdict_dict_per_size():
 
 def test_sat_search_kernel_checks_pinned():
     # every row of s0 fails [a]~q or the update's <a>q at three states; each
-    # conjunct is checked once per view of s0, whatever the valuation
+    # conjunct is checked once per type of s0 (its atoms there, and the set
+    # of atoms where s0's a-arrows lead), whatever the valuation and
+    # whichever successor carries which atoms
     f = parse_formula("<{(p,a,q)}><a>q & [a]~q")
     with evaluators_built() as built:
         assert search._sat_search_n(search._conjunct_order(f), 3, ("a",), ("p", "q"), Budget()) is None
-    assert sum(map(len, built)) == 84
+    assert sum(map(len, built)) == 24
 
 
 def test_sat_search_builds_fewer_evaluators():
     # "<a>p & [a]~p" is unsatisfiable, so every point-generated candidate up
     # to 3 states is visited; its conjuncts read only the arrows out of s0,
-    # so each is decided once per view of s0 (a row of s0, and p where it
-    # leads), by the probe evaluator of the first valuation to show it: each
-    # of the 2 + 4 + 6 canonical valuations builds one, and no candidate is
-    # built
+    # so each is decided once per type of s0 (p there, and the set of p's
+    # values where s0's arrows lead), shared by every size, by the probe
+    # evaluator of the first valuation to show it: the two valuations at one
+    # state and two of the four at two states build one, those at three
+    # states show no new type, and no candidate is built
     argv = ["sat-search", "<a>p & [a]~p", "--max-states", "3"]
     with evaluators_built() as cached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
     with evaluators_built(cache=False) as uncached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
-    assert (len(cached), len(uncached)) == (12, 1092)
+    assert (len(cached), len(uncached)) == (4, 1092)
 
 
 def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
