@@ -17,12 +17,14 @@ from .kripke import KripkeModel
 from .syntax import (
     ArbBox,
     ArbDiamond,
+    Atom,
+    Box,
+    Diamond,
     Formula,
     UpdateBox,
     UpdateDiamond,
+    _parts,
     flatten_conj,
-    is_quantifier_free,
-    local_depth,
     signature,
     subformulas,
 )
@@ -56,7 +58,7 @@ def sat_search(
     props = tuple(sorted(atoms)) if props is None else tuple(props)
     if max_states < 1:
         raise AaulError("max_states must be at least 1")
-    conjuncts = _conjunct_order(f)
+    conjuncts = flatten_conj(f)
     # the conjuncts' plans, their verdicts and the types that key them name
     # no size, so every size shares them
     shared = _plans(conjuncts, agents, props), {}, {}
@@ -181,32 +183,53 @@ def _row_trie(level: int, rows: list, read, width: int, passes) -> dict | bool:
     return node or False
 
 
-def _conjunct_order(f) -> tuple:
-    """The top-level conjuncts of f: those with no update and no [*]/<*>
-    first, then those with an update, then those with [*]/<*>, each group
-    in the given order."""
-
-    return tuple(sorted(flatten_conj(f), key=_group))
-
-
-def _group(c) -> int:
-    """2 for a formula with [*]/<*>, else 1 for one with an update, else 0."""
-    if not is_quantifier_free(c):
-        return 2
-    return int(any(isinstance(g, (UpdateBox, UpdateDiamond)) for g in subformulas(c)))
-
-
 def _plans(conjuncts, agents, props) -> tuple:
-    """Per conjunct, in order: its index, itself, its local depth (None:
-    checked on every candidate), the indices of the agents it mentions, and
-    the mask of the atoms it mentions (bit k for props[k])."""
+    """Per conjunct: its index, itself, its local depth (None: checked on
+    every candidate; `syntax.local_depth`), the indices of the agents it
+    mentions, the mask of the atoms it mentions (bit k for props[k]), and
+    the mask of its top atoms: those outside every [a]/<a>, or all its
+    atoms when an update or a [*]/<*> is outside every [a]/<a>. Those with
+    no update and no [*]/<*> come first, then those with an update, then
+    those with [*]/<*>, each group in the given order.
+
+    Each conjunct is walked once, bottom-up over `subformulas`, as
+    `local_depth` walks it."""
+    bit = {p: 1 << k for k, p in enumerate(props)}
     out = []
-    for i, c in enumerate(conjuncts):
-        atoms_c, agents_c = signature(c)
-        read = tuple(j for j, a in enumerate(agents) if a in agents_c)
-        atoms = sum(1 << k for k, p in enumerate(props) if p in atoms_c)
-        out.append((i, c, local_depth(c), read, atoms))
-    return tuple(out)
+    for c in conjuncts:
+        group, names, atoms = 0, set(), 0
+        # each node's (local depth, top atoms), -1 for all of them
+        below: dict[int, tuple] = {}
+        for g in reversed(tuple(subformulas(c))):  # each node after its parts
+            kind = type(g)
+            parts = [below[id(h)] for h in _parts(g)[1]]
+            depths = [d for d, _ in parts]
+            depth = None if None in depths else max(depths, default=0)
+            top = 0
+            for _, t in parts:
+                top |= t
+            if kind is Atom:
+                top = bit.get(g.name, 0)
+                atoms |= top
+            elif kind is Box or kind is Diamond:
+                names.add(g.agent)
+                top = 0
+                if depth is not None:
+                    depth += 1
+            elif kind is UpdateBox or kind is UpdateDiamond:  # clause formulas, then the body
+                names.update(clause.agent for clause in g.update.clauses)
+                group = max(group, 1)
+                if depth is not None:
+                    depth = depths[-1] and depths[-1] + max(depths[:-1])
+                top = -1
+            elif kind is ArbBox or kind is ArbDiamond:
+                group, depth, top = 2, None, -1
+            below[id(g)] = depth, top
+        depth, top = below[id(c)]
+        read = tuple(j for j, a in enumerate(agents) if a in names)
+        out.append((group, c, depth, read, atoms, top & atoms))
+    out.sort(key=lambda plan: plan[0])  # stable: each group in the given order
+    return tuple((i, *plan[1:]) for i, plan in enumerate(out))
 
 
 def _settled(check, m: KripkeModel, c) -> bool | None:
@@ -220,7 +243,7 @@ def _settled(check, m: KripkeModel, c) -> bool | None:
 
 def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> KripkeModel | None:
     """The first model with n states, in candidate order, that satisfies
-    every one of the formulas `conjuncts` (in `_conjunct_order`) at s0,
+    every one of the formulas `conjuncts` at s0, checked in `_plans` order,
     among those in canonical form in which s0 reaches every state; None if
     there is none. `shared` holds the conjuncts' `_plans`, the verdicts and
     the type table, for one search to pass from size to size; None starts
@@ -280,21 +303,34 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
       not read it. On a model with no arrows, the truth of any formula at
       s0, [*]/<*> included, reads s0's atoms alone: modalities are vacuous,
       an update keeps no arrow, and [*] ranges over the empty union only.
+      A conjunct's top atoms are those outside every [a]/<a>, or all its
+      atoms when an update or a [*]/<*> is outside every [a]/<a> (a clause
+      pre and the updated body are judged at s0). A conjunct of local
+      depth d >= 1 reads at s0 only its top atoms and, per agent a it
+      reads, the set of its a-successors' type_{d-1}: with all its atoms
+      top, that is s0's type_d; otherwise it is a Boolean combination of
+      its top atoms and of [a]g/<a>g, g of depth <= d - 1, which read only
+      the type_{d-1} of the a-successors.
     - Shared verdicts. One dict, `verdicts`, keeps each decided verdict of
-      a conjunct under its index and s0's type_d over its own agents and
-      atoms, d its local depth. A type_0 is a mask of atoms; above it the
-      type is written out at the top, (type_0, per agent read the set of
-      the successors' type_{d-1}), and `types` gives each type_k below the
-      top an int of its own, so equal ints at one level are equal types.
-      Types name no state and no size, so the dict serves every valuation
-      of every size: (a) a probe on the valuation's model with no
-      arrows, keyed by s0's type_0 (for a [*]/<*> conjunct the key stands
-      for that model alone, and only (a) reads it); (b) a probe on a model
-      that holds only a tuple of s0's rows, for a conjunct of depth 1,
-      whose type_1 at s0 is that of every candidate with those rows of s0;
-      (c) a candidate's conjunct of any local depth. A kernel check decides
-      only when it gives the conjunct's truth, so a verdict kept is the one
-      every model with that type has; refused checks are not kept.
+      a conjunct under its index, its top atoms true at s0 and, at local
+      depth d >= 1, per agent it reads the set of s0's successors' type_{d-1}
+      over its own agents and atoms. A type_0 is a mask of atoms, and
+      `types` gives each type_k above it an int of its own, so equal ints
+      at one level are equal types. A set of types is an int with bit t
+      for type t. Per valuation, `sets_of` fills one table per atom mask of
+      a conjunct with the set of type_0 of every n-bit row r, from
+      table[r & (r - 1)] and r's lowest state, and a candidate's tables of
+      type_k above it are filled the same way. Types name no state and no
+      size, so the dict serves every valuation of every size: (a) a probe
+      on the valuation's model with no arrows, keyed by the top atoms true
+      at s0 (for a [*]/<*> conjunct the key stands for that model alone,
+      and only (a) reads it); (b) a probe on a model that holds only a
+      tuple of s0's rows, for a conjunct of depth 1, whose key is that of
+      every candidate with those rows of s0; (c) a candidate's conjunct of
+      any local depth. A kernel check decides only when it gives the
+      conjunct's truth, so a verdict kept is the one every model with that
+      key has; refused checks are not kept. So `<a>(p & q)`, which reads no
+      atom at s0, has one verdict for valuations that differ only at s0.
     - Probes. Before any arrow mask of a valuation is looked at, (a)
       settles each conjunct of local depth 0 and each top-level [*]g or
       <*>g: the model with no arrows is the empty union that every
@@ -325,13 +361,13 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
         raise AaulError(str(e)) from None
     plans, verdicts, types = shared or (_plans(conjuncts, agents, props), {}, {})
     # per-size tables, O(n * 2^n) entries: the states of each n-bit mask as
-    # names and as indices, for each state i the arrows out of it, indexed
-    # by row i (bits i*n .. i*n+n-1) of an arrow mask, and the rows of each
-    # state mask
+    # names, the lowest state of each nonempty mask, for each state i the
+    # arrows out of it, indexed by row i (bits i*n .. i*n+n-1) of an arrow
+    # mask, and the rows of each state mask
     state_sets = tuple(
         frozenset(s for j, s in enumerate(states) if (mask >> j) & 1) for mask in range(1 << n)
     )
-    members = tuple(tuple(j for j in range(n) if (mask >> j) & 1) for mask in range(1 << n))
+    lowest = tuple((mask & -mask).bit_length() - 1 for mask in range(1 << n))
     rows = tuple(
         tuple(frozenset((s, t) for t in targets) for targets in state_sets) for s in states
     )
@@ -355,38 +391,39 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
                 mask >>= n
         return out
 
-    def level(k: int, read, atoms, t0, arrow_masks, memo) -> tuple:
-        """Each state's type_k over the agents `read` and the atoms `atoms`,
-        on arrow masks arrow_masks, from their type_0 t0 (k = 0: t0 itself;
-        else ints of `types`), kept in memo."""
+    def sets_of(here) -> list:
+        """Per n-bit state mask, the set of its states' types, `here`
+        holding each state's: an int with bit t for type t."""
+        out = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            out[mask] = out[mask & (mask - 1)] | 1 << here[lowest[mask]]
+        return out
+
+    def table(k: int, read, atoms, arrow_masks, memo) -> list:
+        """Per n-bit state mask, the set of its states' type_k over the
+        agents `read` and the atoms `atoms` (`sets_of`): the valuation's,
+        succ[atoms], at k = 0; above it one candidate's on arrow masks
+        arrow_masks, with each type_k an int of `types`, kept in memo."""
         if not k:
-            return t0
+            return succ[atoms]
         key = k, read, atoms
         out = memo.get(key)
         if out is None:
-            get = level(k - 1, read, atoms, t0, arrow_masks, memo).__getitem__
-            out = memo[key] = tuple(
-                [
-                    types.setdefault(
-                        (t0[s], tuple([frozenset(map(get, members[arrow_masks[j] >> s * n & full])) for j in read])),
-                        len(types),
-                    )
-                    for s in range(n)
-                ]
-            )
+            below, t0 = table(k - 1, read, atoms, arrow_masks, memo), zeros[atoms]
+            here = [(t0[s], tuple([below[arrow_masks[j] >> s * n & full] for j in read])) for s in range(n)]
+            out = memo[key] = sets_of([types.setdefault(t, len(types)) for t in here])
         return out
 
-    def s0_key(entry, t0, arrow_masks, memo) -> tuple:
-        """The key of a verdict of entry's conjunct: its index and s0's
-        type_d over its agents and atoms, d its local depth, written out at
-        the top (type_0, then per agent read the set of the successors'
-        type_{d-1}); only s0's rows, the low n bits of each arrow mask, are
-        read there."""
-        i, _, depth, read, atoms = entry
+    def s0_key(entry, arrow_masks, memo) -> tuple:
+        """The key of a verdict of entry's conjunct: its index, its top
+        atoms true at s0 and, at a local depth d >= 1, per agent read the
+        set of s0's successors' type_{d-1} (`table`). Only s0's rows, the
+        low n bits of each arrow mask, are read there."""
+        i, _, depth, read, atoms, top = entry
         if not depth:
-            return i, t0[0]
-        get = (t0 if depth == 1 else level(depth - 1, read, atoms, t0, arrow_masks, memo)).__getitem__
-        return i, t0[0], tuple([frozenset(map(get, members[arrow_masks[j] & full])) for j in read])
+            return i, atoms0 & top
+        sets = table(depth - 1, read, atoms, arrow_masks, memo)
+        return i, atoms0 & top, tuple([sets[arrow_masks[j] & full] for j in read])
 
     reaches_all = {}  # the OR of a candidate's arrow masks -> is every state reachable from s0
 
@@ -412,16 +449,15 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
             verdicts[key] = verdict
         return verdict
 
-    def valuation_plan(valuation, probe, atoms0: int) -> list | None:
+    def valuation_plan(valuation, probe) -> list | None:
         """(a): the plans less the conjuncts that the model with no arrows
-        and `valuation` decides true, or None when it decides one false;
-        atoms0 holds s0's atoms."""
+        and `valuation` decides true, or None when it decides one false."""
         kept = []
         for entry in plans:
             c, depth = entry[1], entry[2]
             kind = type(c)
             if depth == 0 or kind is ArbBox or kind is ArbDiamond:
-                key = entry[0], atoms0 & entry[4]  # s0_key's, at depth 0
+                key = entry[0], atoms0 & entry[5]  # s0_key's, at depth 0
                 holds = verdicts.get(key)
                 if holds is None:
                     holds = settle(key, base._derive(base.arrows, valuation), c, probe)
@@ -432,18 +468,20 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
             kept.append(entry)
         return kept
 
-    def rows_pass(row0: tuple, shallow, valuation, probe, zeros) -> bool:
+    def rows_pass(row0: tuple, shallow, valuation, probe) -> bool:
         """(b): False when a conjunct of `shallow`, those of depth 1,
         reached before any whose probe refuses, is false with s0's rows
-        row0; zeros[atoms] is each state's type_0 over those atoms."""
+        row0. Each comes as its index, itself, the agents it reads, its top
+        atoms true at s0 and the valuation's table of its atoms, so its key
+        is s0_key's without a call."""
         rowed = None
-        for entry in shallow:
-            key = s0_key(entry, zeros[entry[4]], row0, None)  # at depth 1, reads s0's rows alone
+        for i, c, read, top0, sets in shallow:
+            key = i, top0, tuple([sets[row0[j]] for j in read])
             verdict = verdicts.get(key)
             if verdict is None:
                 if rowed is None:
                     rowed = base._derive(dict(zip(agents, map(rows[0].__getitem__, row0))), valuation)
-                verdict = settle(key, rowed, entry[1], probe)
+                verdict = settle(key, rowed, c, probe)
                 if verdict is None:
                     return True
             if not verdict:
@@ -455,16 +493,21 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
         probe = []  # the valuation's one probe evaluator, once built
         # each state's atoms, bit k for props[k]
         atoms_at = tuple([sum([(mask >> s & 1) << k for k, mask in enumerate(prop_masks)]) for s in range(n)])
-        kept = valuation_plan(valuation, probe, atoms_at[0])
+        # the valuation's, read by `valuation_plan`, `table` and `s0_key`:
+        # the atoms true at s0, and per atom mask of a conjunct of local
+        # depth >= 1 each state's type_0 over it and the `sets_of` those
+        atoms0 = atoms_at[0]
+        kept = valuation_plan(valuation, probe)
         if kept is None:
             continue
+        zeros = {entry[4]: tuple([a & entry[4] for a in atoms_at]) for entry in kept if entry[2]}
+        succ = {atoms: sets_of(t0) for atoms, t0 in zeros.items()}
         # (b): the trie of the row tuples that pass; a fate reads only the
         # rows of the agents that conjuncts of depth 1 read
-        shallow = [entry for entry in kept if entry[2] == 1]
-        row_agents = {j for entry in shallow for j in entry[3]}
-        zeros = {entry[4]: tuple([a & entry[4] for a in atoms_at]) for entry in kept}
+        shallow = [(i, c, read, atoms0 & top, succ[atoms]) for i, c, depth, read, atoms, top in kept if depth == 1]
+        row_agents = {j for entry in shallow for j in entry[2]}
         trie = _row_trie(
-            0, [0] * len(agents), row_agents, n, lambda row0: rows_pass(row0, shallow, valuation, probe, zeros)
+            0, [0] * len(agents), row_agents, n, lambda row0: rows_pass(row0, shallow, valuation, probe)
         )
         if trie is False:
             continue
@@ -474,7 +517,7 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
             m, memo = None, {}
             for entry in kept:
                 c, depth = entry[1], entry[2]
-                key = depth is not None and s0_key(entry, zeros[entry[4]], arrow_masks, memo)
+                key = depth is not None and s0_key(entry, arrow_masks, memo)
                 verdict = verdicts.get(key)
                 if verdict is None:
                     if m is None:

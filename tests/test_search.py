@@ -21,6 +21,7 @@ from aaul import (
     Clause,
     Diamond,
     Iff,
+    Implies,
     Not,
     Or,
     TOP,
@@ -39,7 +40,7 @@ from aaul import (
 from aaul import search
 from aaul.cli import run
 from aaul.search import _canonical_candidates
-from aaul.syntax import local_depth, signature, subformulas
+from aaul.syntax import flatten_conj, local_depth, signature, subformulas
 from helpers import (
     invoke,
     naive_canonical,
@@ -56,9 +57,9 @@ def evaluators_built(cache=True):
     """Counts the evaluators sat-search builds, one per candidate it has to
     evaluate, each as the list of (model, formula) pairs it is asked
     about; cache=False turns off deciding a conjunct once per type of
-    s0, by giving every conjunct no local depth."""
+    s0, by giving every conjunct's plan no local depth."""
     built = []
-    real = search.core_checker
+    real, plans = search.core_checker, search._plans
 
     def counted(budget):
         check, asked = real(budget), []
@@ -68,7 +69,7 @@ def evaluators_built(cache=True):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "core_checker", counted)
         if not cache:
-            mp.setattr(search, "local_depth", lambda f: None)
+            mp.setattr(search, "_plans", lambda *args: tuple((*p[:2], None, *p[3:]) for p in plans(*args)))
         yield built
 
 
@@ -163,7 +164,7 @@ def _arrow_tuples_drawn(f: str, n: int) -> tuple:
     atoms, agents = signature(f)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_canonical_candidates", counted)
-        found = search._sat_search_n(search._conjunct_order(f), n, tuple(sorted(agents)), tuple(sorted(atoms)), Budget())
+        found = search._sat_search_n(flatten_conj(f), n, tuple(sorted(agents)), tuple(sorted(atoms)), Budget())
     return found, len(drawn)
 
 
@@ -202,7 +203,7 @@ def test_sat_search_cache_changes_no_decision_at_one_size():
         for cache in (True, False):
             with evaluators_built(cache):
                 try:
-                    found = search._sat_search_n(search._conjunct_order(f), n, agents, props, budget)
+                    found = search._sat_search_n(flatten_conj(f), n, agents, props, budget)
                     outcomes.append(None if found is None else save_model(found))
                 except AaulError as e:
                     outcomes.append(e)
@@ -248,7 +249,7 @@ def test_sat_search_builds_only_point_generated_models():
     f = parse_formula("<a>p & [a]~p")
     for agents, props, n in ((("a",), ("p",), 3), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 3)):
         with evaluators_built(cache=False) as built:
-            assert search._sat_search_n(search._conjunct_order(f), n, agents, props, Budget()) is None
+            assert search._sat_search_n(flatten_conj(f), n, agents, props, Budget()) is None
         assert all(len({m for m, _ in asked}) == 1 for asked in built)
         canonical = [
             (prop_masks, arrow_masks)
@@ -270,7 +271,7 @@ def test_sat_search_builds_only_point_generated_models():
     for _ in range(40):
         agents, props, n = rng.choice(((("a",), ("p",), 3), (("a", "b"), ("p",), 2)))
         f = cache_formula(rng, agents, props)
-        conjuncts = search._conjunct_order(f)
+        conjuncts = flatten_conj(f)
         budget = rng.choice((Budget(), Budget(max_arrow_blocks=2)))
         probes = []
         with evaluators_built() as built, pytest.MonkeyPatch.context() as mp:
@@ -629,6 +630,106 @@ def test_sat_search_types_match_naive_reference():
     assert checks[True] * 3 < checks[False]
 
 
+def _top_conjunct(rng, agents, props):
+    """A conjunct that reads an atom at s0 beside a modality: a literal and
+    a modality joined by ->, | or <->, either way round, or an update whose
+    clause pre is a literal, judged at s0, over a modal body."""
+    literal = lambda: rng.choice((Atom(rng.choice(props)), Not(Atom(rng.choice(props)))))
+    modal = lambda: rng.choice((Box, Diamond))(
+        rng.choice(agents), rng.choice((literal(), random_quantifier_free(rng, 1, props, agents)))
+    )
+    if rng.random() < 0.6:
+        parts = [literal(), modal()]
+        rng.shuffle(parts)
+        return rng.choice((Implies, Or, Iff))(*parts)
+    clauses = tuple(
+        Clause(literal(), rng.choice(agents), rng.choice((TOP, literal()))) for _ in range(rng.randint(1, 2))
+    )
+    return rng.choice((UpdateBox, UpdateDiamond))(Update(clauses), modal())
+
+
+def _top_atoms(f) -> frozenset:
+    """The atoms f reads at the state it is judged at, walked from the top:
+    those outside every [a]/<a>, or all f's atoms when an update or a
+    [*]/<*> is outside every [a]/<a>."""
+    todo, top = [f], set()
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (UpdateBox, UpdateDiamond, ArbBox, ArbDiamond)):
+            return signature(f)[0]
+        if isinstance(g, Atom):
+            top.add(g.name)
+        elif not isinstance(g, (Box, Diamond)):
+            todo += [getattr(g, part) for part in ("left", "right", "body") if hasattr(g, part)]
+    return frozenset(top)
+
+
+def test_sat_search_plans_walk_each_conjunct_once():
+    """One walk per conjunct gives its group, its local depth, the agents
+    and atoms it mentions and its top atoms, as `local_depth`, `signature`
+    and a walk from the top give them."""
+    rng = random.Random(20261104)
+    agents, props = ("a", "b"), ("p", "q")
+    real = search.subformulas
+    for _ in range(200):
+        conjuncts = [
+            rng.choice((_cache_conjunct, _top_conjunct, _settling_conjunct))(rng, agents, props)
+            for _ in range(rng.randint(1, 4))
+        ]
+        walked = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "subformulas", lambda f: walked.append(f) or real(f))
+            plans = search._plans(conjuncts, agents, props)
+        assert walked == conjuncts
+        updates = lambda c: any(isinstance(g, (UpdateBox, UpdateDiamond)) for g in subformulas(c))
+        group = lambda c: 2 if local_depth(c) is None else int(updates(c))
+        assert [plan[1] for plan in plans] == sorted(conjuncts, key=group)
+        for i, (index, c, depth, read, atoms, top) in enumerate(plans):
+            names, agents_c = signature(c)
+            mask = lambda chosen: sum(1 << k for k, p in enumerate(props) if p in chosen)
+            assert (index, depth) == (i, local_depth(c)), print_formula(c)
+            assert read == tuple(j for j, a in enumerate(agents) if a in agents_c), print_formula(c)
+            assert (atoms, top) == (mask(names), mask(_top_atoms(c))), print_formula(c)
+
+
+def test_sat_search_top_atoms_match_naive_reference():
+    """A conjunct of local depth d >= 1 keyed by only its top atoms true at
+    s0 and its successors' types, so valuations that differ only in atoms
+    it does not read at s0 share a verdict: against the same search
+    deciding every conjunct on every candidate and against the reference,
+    which checks f whole, at 1 to 3 states. Each formula has a conjunct
+    that reads an atom at s0 beside a modality (under ->, | or <->, or in
+    an update's clause pre) and one that reads none there."""
+    rng = random.Random(20261105)
+    shapes = ((("a",), ("p",), 3), (("a",), ("p", "q"), 2), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 1))
+    found = refuted = 0
+    checks = {True: 0, False: 0}  # kernel checks, with and without shared verdicts
+    for _ in range(60):
+        agents, props, max_states = rng.choice(shapes)
+        parts = [_top_conjunct(rng, agents, props) for _ in range(rng.randint(1, 2))]
+        parts.append(_edge_conjunct(rng, agents, props, rng.choice((1, 2)), rng.choice(props)))
+        f = conj(rng.sample(parts, len(parts)))
+        with evaluators_built() as built:
+            shared = _outcome(f, max_states, agents, props, Budget())
+        with evaluators_built(cache=False) as uncached:
+            assert shared == _outcome(f, max_states, agents, props, Budget()), print_formula(f)
+        expected = naive_sat_search(f, max_states, agents, props)
+        assert shared == (None if expected is None else save_model(expected)), print_formula(f)
+        found += isinstance(shared, str)
+        refuted += shared is None
+        checks[True] += sum(map(len, built))
+        checks[False] += sum(map(len, uncached))
+    assert found >= 20 and refuted >= 10
+    assert checks[True] * 3 < checks[False]
+    # a rule that left s0's atoms out of these keys would share the verdict
+    # of p -> [a]~p, or of the update, between the valuations with p at s0
+    # and without it, and answer none
+    for text in ("(p -> [a]~p) & <a>p", "<{(p,a,true)}>[a]false & <a>p"):
+        assert save_model(sat_search(parse_formula(text), 2)) == (
+            "states: s0 s1\nagent a: s0->s1\nval p: s1\npoint: s0\n"
+        ), text
+
+
 def test_sat_search_types_do_not_collide_across_sizes():
     # both conjuncts have local depth 2, and one verdict dict serves every
     # size. A positional key would collide: the arrow mask of s0->s1 and
@@ -644,29 +745,36 @@ def test_sat_search_types_do_not_collide_across_sizes():
 
 def test_sat_search_kernel_checks_pinned():
     # every row of s0 fails [a]~q or the update's <a>q at three states; each
-    # conjunct is checked once per type of s0 (its atoms there, and the set
-    # of atoms where s0's a-arrows lead), whatever the valuation and
-    # whichever successor carries which atoms
+    # conjunct is checked once per key: [a]~q's reads no atom at s0, only
+    # the set of atoms where s0's a-arrows lead, whatever the valuation and
+    # whichever successor carries which atoms; the update's pre is judged
+    # at s0, so its key holds s0's atoms too
     f = parse_formula("<{(p,a,q)}><a>q & [a]~q")
     with evaluators_built() as built:
-        assert search._sat_search_n(search._conjunct_order(f), 3, ("a",), ("p", "q"), Budget()) is None
-    assert sum(map(len, built)) == 24
+        assert search._sat_search_n(flatten_conj(f), 3, ("a",), ("p", "q"), Budget()) is None
+    assert sum(map(len, built)) == 20
+    # the benchmark's found3_plain, sizes 1 to 3 and the check of the model
+    # found: no conjunct reads an atom at s0, so valuations that differ only
+    # there share every verdict (75 checks when s0's atoms were in every key)
+    with evaluators_built() as built:
+        assert sat_search(parse_formula("<a>(p & q) & <a>(p & ~q) & <a>(~p & q)"), 3) is not None
+    assert sum(map(len, built)) == 26
 
 
 def test_sat_search_builds_fewer_evaluators():
     # "<a>p & [a]~p" is unsatisfiable, so every point-generated candidate up
-    # to 3 states is visited; its conjuncts read only the arrows out of s0,
-    # so each is decided once per type of s0 (p there, and the set of p's
-    # values where s0's arrows lead), shared by every size, by the probe
-    # evaluator of the first valuation to show it: the two valuations at one
-    # state and two of the four at two states build one, those at three
-    # states show no new type, and no candidate is built
+    # to 3 states is visited; its conjuncts read no atom at s0, only the set
+    # of p's values where s0's arrows lead, so each is decided once per such
+    # set, shared by every size, by the probe evaluator of the first
+    # valuation to show it: the two valuations at one state and the first at
+    # two states with a p and a ~p state build one, those at three states
+    # show no new set, and no candidate is built
     argv = ["sat-search", "<a>p & [a]~p", "--max-states", "3"]
     with evaluators_built() as cached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
     with evaluators_built(cache=False) as uncached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
-    assert (len(cached), len(uncached)) == (4, 1092)
+    assert (len(cached), len(uncached)) == (3, 1092)
 
 
 def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
