@@ -52,7 +52,10 @@ def sat_search(
     a refusal there refuses the search: a verdict settled on a probe may
     leave out a clause formula the whole check judges (one that names an
     undeclared agent, say), so no model is returned that the checker
-    refuses on."""
+    refuses on. Where checking f whole on every candidate in turn would
+    refuse, the search refuses, returns a model that satisfies f, or
+    returns None: a candidate it skips or rejects by one conjunct is never
+    checked whole (the contract of `_sat_search_n`)."""
     atoms, agents_used = signature(f)
     agents = tuple(sorted(agents_used)) if agents is None else tuple(agents)
     props = tuple(sorted(atoms)) if props is None else tuple(props)
@@ -258,8 +261,11 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     Contract, against the reference `naive_sat_search` of the tests, which
     checks f whole on every canonical candidate of every size in turn:
     where it decides, the search gives the same output; where it refuses,
-    the search refuses or returns a model that satisfies f. The argument
-    rests on four facts.
+    the search refuses, returns a model that satisfies f, or returns None.
+    None comes by design: the candidate the reference refuses on may be
+    one that s0 does not generate, or one that a conjunct checked first,
+    or a verdict kept from another model, rejects here. The argument rests
+    on four facts.
 
     - Point generation. f's truth at s0 depends only on the submodel that
       s0 generates ([U] keeps the arrows between its states as the clauses
@@ -311,45 +317,47 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
       top, that is s0's type_d; otherwise it is a Boolean combination of
       its top atoms and of [a]g/<a>g, g of depth <= d - 1, which read only
       the type_{d-1} of the a-successors.
-    - Shared verdicts. One dict, `verdicts`, keeps each decided verdict of
-      a conjunct under its index, its top atoms true at s0 and, at local
-      depth d >= 1, per agent it reads the set of s0's successors' type_{d-1}
-      over its own agents and atoms. A type_0 is a mask of atoms, and
-      `types` gives each type_k above it an int of its own, so equal ints
-      at one level are equal types. A set of types is an int with bit t
-      for type t. Per valuation, `sets_of` fills one table per atom mask of
-      a conjunct with the set of type_0 of every n-bit row r, from
-      table[r & (r - 1)] and r's lowest state, and a candidate's tables of
-      type_k above it are filled the same way. Types name no state and no
-      size, so the dict serves every valuation of every size: (a) a probe
-      on the valuation's model with no arrows, keyed by the top atoms true
-      at s0 (for a [*]/<*> conjunct the key stands for that model alone,
-      and only (a) reads it); (b) a probe on a model that holds only a
-      tuple of s0's rows, for a conjunct of depth 1, whose key is that of
-      every candidate with those rows of s0; (c) a candidate's conjunct of
-      any local depth. A kernel check decides only when it gives the
-      conjunct's truth, so a verdict kept is the one every model with that
-      key has; refused checks are not kept. So `<a>(p & q)`, which reads no
-      atom at s0, has one verdict for valuations that differ only at s0.
-    - Probes. Before any arrow mask of a valuation is looked at, (a)
-      settles each conjunct of local depth 0 and each top-level [*]g or
-      <*>g: the model with no arrows is the empty union that every
-      candidate's walk tries first, so [*]g false there is false on every
-      candidate, and <*>g true there is true on every candidate. Then, per
-      tuple of s0's rows, (b) settles each conjunct of local depth 1. A
-      conjunct decided true leaves the plan; one decided false skips the
-      valuation (a) or the row tuple (b); a refused probe decides nothing
-      and leaves the conjunct to the candidates. The row tuples that pass
-      form a trie, and `_least_tuples` draws only the canonical candidates
-      whose row tuple is in it, in the same order. A row tuple's fate reads
-      only the rows of the agents that conjuncts of depth 1 mention, so
-      every other agent's level holds all its rows over one shared
-      subtrie.
+    - Verdicts and probes. `verdict` decides every conjunct, on a probe or
+      a candidate. One dict, `verdicts`, keeps each decided verdict of a
+      conjunct under its key: its index, its top atoms true at s0 and, at
+      local depth d >= 1, per agent it reads the set of s0's successors'
+      type_{d-1} over its own agents and atoms. A type_0 is a mask of
+      atoms, and `types` gives each type_k above it an int of its own, so
+      equal ints at one level are equal types. A set of types is an int
+      with bit t for type t. Per valuation, `sets_of` fills one table per
+      atom mask of a conjunct with the set of type_0 of every n-bit row r,
+      from table[r & (r - 1)] and r's lowest state, and a candidate's
+      tables of type_k above it are filled the same way. Types name no
+      state and no size, so the dict serves every valuation of every size.
+      A kernel check decides only when it gives the conjunct's truth, so a
+      verdict kept is the one every model with that key has; refused
+      checks are not kept. So `<a>(p & q)`, which reads no atom at s0, has
+      one verdict for valuations that differ only at s0. A top-level [*]g
+      or <*>g has a key on the model with no arrows alone, and any other
+      conjunct with no local depth has none. A probe is the valuation's
+      model cut to the arrows its key reads, checked on an evaluator of its
+      own before any candidate is drawn: (a) with no arrows, for a
+      conjunct of local depth 0 and a top-level [*]g or <*>g; (b) with
+      only a tuple of s0's rows, for a conjunct of local depth 1. A probe
+      has the key of every candidate of the valuation with the same arrows
+      where the key reads them, so its verdict is theirs. For [*]g and
+      <*>g, the model with no arrows is the empty union that every
+      candidate's walk tries first: [*]g false there is false on every
+      candidate, and <*>g true there is true on every candidate. So (a)
+      drops a conjunct it decides true for every candidate and skips the
+      valuation on one it decides false for every candidate, (b) skips a
+      row tuple on a false one, and a refused probe decides nothing
+      (`_settled`) and leaves the conjunct to the candidates. The row tuples that pass form a trie, and
+      `_least_tuples` draws only the canonical candidates whose row tuple
+      is in it, in the same order. A row tuple's fate reads only the rows
+      of the agents that conjuncts of depth 1 mention, so every other
+      agent's level holds all its rows over one shared subtrie.
 
     A verdict kept or settled is the one the candidate's own evaluation
     gives wherever that decides. So where the reference decides, every
     candidate before its answer is rejected here too and its answer is
-    accepted. Where it refuses, a returned model has every conjunct true.
+    accepted. Where it refuses, a returned model has every conjunct true,
+    and None means every candidate was rejected.
     """
     states = tuple(f"s{i}" for i in range(n))
     # validated once per size, so a bad agent or proposition name is
@@ -363,7 +371,8 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     # per-size tables, O(n * 2^n) entries: the states of each n-bit mask as
     # names, the lowest state of each nonempty mask, for each state i the
     # arrows out of it, indexed by row i (bits i*n .. i*n+n-1) of an arrow
-    # mask, and the rows of each state mask
+    # mask, the rows of each state mask, and each state mask spread to bit
+    # s * len(props) for each of its states s
     state_sets = tuple(
         frozenset(s for j, s in enumerate(states) if (mask >> j) & 1) for mask in range(1 << n)
     )
@@ -373,23 +382,31 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     )
     full = (1 << n) - 1
     row_bits = tuple(sum(full << i * n for i in range(n) if (mask >> i) & 1) for mask in range(1 << n))
+    spread = tuple(sum(1 << s * len(props) for s in range(n) if (mask >> s) & 1) for mask in range(1 << n))
+    no_arrows = (0,) * len(agents)
 
-    def arrows_of(mask: int) -> frozenset:
-        out = frozenset()
-        for row in rows:
-            out |= row[mask & full]
-            mask >>= n
-        return out
+    arrow_sets = {}  # each arrow mask's arrows, built on first use
 
-    def step(seen: int, masks) -> int:
-        """The state mask seen plus the targets of masks' rows at seen."""
-        out = seen
-        for mask in masks:
-            mask &= row_bits[seen]
-            while mask:
-                out |= mask & full
-                mask >>= n
-        return out
+    def model(arrow_masks) -> KripkeModel:
+        """The model of the valuation prop_masks and the arrow masks
+        arrow_masks: a candidate, or a probe, whose masks hold no arrow or
+        only s0's rows."""
+        for mask in arrow_masks:
+            if mask not in arrow_sets:
+                arrow_sets[mask] = frozenset().union(*[row[mask >> i * n & full] for i, row in enumerate(rows)])
+        arrows = dict(zip(agents, map(arrow_sets.__getitem__, arrow_masks)))
+        return base._derive(arrows, dict(zip(props, map(state_sets.__getitem__, prop_masks))))
+
+    def probe(c, arrow_masks) -> bool | None:
+        return _settled(core_checker(budget), model(arrow_masks), c)
+
+    candidate = []  # the candidate being checked and its evaluator, once built
+
+    def check_candidate(c, arrow_masks) -> bool:
+        if not candidate:
+            candidate[:] = model(arrow_masks), core_checker(budget)
+        m, evaluate = candidate
+        return m.point in evaluate(m, c)
 
     def sets_of(here) -> list:
         """Per n-bit state mask, the set of its states' types, `here`
@@ -400,30 +417,40 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
         return out
 
     def table(k: int, read, atoms, arrow_masks, memo) -> list:
-        """Per n-bit state mask, the set of its states' type_k over the
-        agents `read` and the atoms `atoms` (`sets_of`): the valuation's,
-        succ[atoms], at k = 0; above it one candidate's on arrow masks
-        arrow_masks, with each type_k an int of `types`, kept in memo."""
-        if not k:
-            return succ[atoms]
+        """Per n-bit state mask, the set of its states' type_k, k >= 1,
+        over the agents `read` and the atoms `atoms` (`sets_of`) on one
+        candidate's arrow masks arrow_masks, with each type_k an int of
+        `types`, kept in memo; the valuation's succ[atoms] holds type_0."""
         key = k, read, atoms
         out = memo.get(key)
         if out is None:
-            below, t0 = table(k - 1, read, atoms, arrow_masks, memo), zeros[atoms]
+            below = succ[atoms] if k == 1 else table(k - 1, read, atoms, arrow_masks, memo)
+            t0 = zeros[atoms]
             here = [(t0[s], tuple([below[arrow_masks[j] >> s * n & full] for j in read])) for s in range(n)]
             out = memo[key] = sets_of([types.setdefault(t, len(types)) for t in here])
         return out
 
-    def s0_key(entry, arrow_masks, memo) -> tuple:
-        """The key of a verdict of entry's conjunct: its index, its top
-        atoms true at s0 and, at a local depth d >= 1, per agent read the
-        set of s0's successors' type_{d-1} (`table`). Only s0's rows, the
-        low n bits of each arrow mask, are read there."""
-        i, _, depth, read, atoms, top = entry
-        if not depth:
-            return i, atoms0 & top
-        sets = table(depth - 1, read, atoms, arrow_masks, memo)
-        return i, atoms0 & top, tuple([sets[arrow_masks[j] & full] for j in read])
+    def verdict(entry, arrow_masks, memo, check) -> bool | None:
+        """Whether entry's conjunct holds at s0 of model(arrow_masks): the
+        verdict kept under its key, or else check(c, arrow_masks), kept if
+        it decides (None: it refused). The key is the conjunct's index, its
+        top atoms true at s0 and, at a local depth d >= 1, per agent read
+        the set of s0's successors' type_{d-1} (`table`), read from s0's
+        rows, the low n bits of each arrow mask; a top-level [*]g or <*>g
+        has one only on the model with no arrows, and any other conjunct
+        with no local depth none (False)."""
+        i, c, depth, read, atoms, top = entry
+        if depth:
+            sets = succ[atoms] if depth == 1 else table(depth - 1, read, atoms, arrow_masks, memo)
+            key = i, atoms0 & top, tuple([sets[arrow_masks[j] & full] for j in read])
+        else:
+            key = (depth == 0 or type(c) in (ArbBox, ArbDiamond) and not any(arrow_masks)) and (i, atoms0 & top)
+        holds = verdicts.get(key)
+        if holds is None:
+            holds = check(c, arrow_masks)
+            if key and holds is not None:
+                verdicts[key] = holds
+        return holds
 
     reaches_all = {}  # the OR of a candidate's arrow masks -> is every state reachable from s0
 
@@ -435,99 +462,59 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
         if reached is None:
             seen, wider = 0, 1
             while wider != seen:
-                seen, wider = wider, step(wider, (union,))
+                seen, mask = wider, union & row_bits[wider]
+                while mask:  # add the targets of the rows of the states seen
+                    wider |= mask & full
+                    mask >>= n
             reached = reaches_all[union] = seen == full
         return reached
 
-    def settle(key, m, c, probe: list) -> bool | None:
-        """c's check on m by the valuation's probe evaluator (probe[0],
-        built on first use), kept under key if it decides."""
-        if not probe:
-            probe.append(core_checker(budget))
-        verdict = _settled(probe[0], m, c)
-        if verdict is not None:
-            verdicts[key] = verdict
-        return verdict
-
-    def valuation_plan(valuation, probe) -> list | None:
-        """(a): the plans less the conjuncts that the model with no arrows
-        and `valuation` decides true, or None when it decides one false."""
-        kept = []
-        for entry in plans:
-            c, depth = entry[1], entry[2]
-            kind = type(c)
-            if depth == 0 or kind is ArbBox or kind is ArbDiamond:
-                key = entry[0], atoms0 & entry[5]  # s0_key's, at depth 0
-                holds = verdicts.get(key)
-                if holds is None:
-                    holds = settle(key, base._derive(base.arrows, valuation), c, probe)
-                if holds is False and kind is not ArbDiamond:
-                    return None
-                if holds and kind is not ArbBox:
-                    continue
-            kept.append(entry)
-        return kept
-
-    def rows_pass(row0: tuple, shallow, valuation, probe) -> bool:
+    def rows_pass(row0: tuple) -> bool:
         """(b): False when a conjunct of `shallow`, those of depth 1,
         reached before any whose probe refuses, is false with s0's rows
-        row0. Each comes as its index, itself, the agents it reads, its top
-        atoms true at s0 and the valuation's table of its atoms, so its key
-        is s0_key's without a call."""
-        rowed = None
-        for i, c, read, top0, sets in shallow:
-            key = i, top0, tuple([sets[row0[j]] for j in read])
-            verdict = verdicts.get(key)
-            if verdict is None:
-                if rowed is None:
-                    rowed = base._derive(dict(zip(agents, map(rows[0].__getitem__, row0))), valuation)
-                verdict = settle(key, rowed, c, probe)
-                if verdict is None:
-                    return True
-            if not verdict:
-                return False
+        row0, the arrow masks of the model that holds only them."""
+        for entry in shallow:
+            holds = verdict(entry, row0, None, probe)
+            if not holds:
+                return holds is None
         return True
 
     for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
-        valuation = dict(zip(props, map(state_sets.__getitem__, prop_masks)))
-        probe = []  # the valuation's one probe evaluator, once built
-        # each state's atoms, bit k for props[k]
-        atoms_at = tuple([sum([(mask >> s & 1) << k for k, mask in enumerate(prop_masks)]) for s in range(n)])
-        # the valuation's, read by `valuation_plan`, `table` and `s0_key`:
-        # the atoms true at s0, and per atom mask of a conjunct of local
-        # depth >= 1 each state's type_0 over it and the `sets_of` those
-        atoms0 = atoms_at[0]
-        kept = valuation_plan(valuation, probe)
+        # the valuation as one int: state s's atoms from bit s * len(props)
+        # on, bit k for props[k]. Read by `verdict` and `table`: the atoms
+        # true at s0, and per atom mask of a conjunct of local depth >= 1
+        # each state's type_0 over it and the `sets_of` those
+        packed = sum([spread[mask] << k for k, mask in enumerate(prop_masks)])
+        atoms0 = packed & ((1 << len(props)) - 1)
+        # (a): the plans less the conjuncts the model with no arrows decides
+        # true for every candidate; one it decides false for every candidate
+        # skips the valuation
+        kept = []
+        for entry in plans:
+            kind = type(entry[1])
+            if entry[2] == 0 or kind is ArbBox or kind is ArbDiamond:
+                holds = verdict(entry, no_arrows, None, probe)
+                if holds is False and kind is not ArbDiamond:
+                    kept = None
+                    break
+                if holds and kind is not ArbBox:
+                    continue
+            kept.append(entry)
         if kept is None:
             continue
-        zeros = {entry[4]: tuple([a & entry[4] for a in atoms_at]) for entry in kept if entry[2]}
+        zeros = {entry[4]: tuple([packed >> s * len(props) & entry[4] for s in range(n)]) for entry in kept if entry[2]}
         succ = {atoms: sets_of(t0) for atoms, t0 in zeros.items()}
         # (b): the trie of the row tuples that pass; a fate reads only the
         # rows of the agents that conjuncts of depth 1 read
-        shallow = [(i, c, read, atoms0 & top, succ[atoms]) for i, c, depth, read, atoms, top in kept if depth == 1]
-        row_agents = {j for entry in shallow for j in entry[2]}
-        trie = _row_trie(
-            0, [0] * len(agents), row_agents, n, lambda row0: rows_pass(row0, shallow, valuation, probe)
-        )
+        shallow = [entry for entry in kept if entry[2] == 1]
+        trie = _row_trie(0, [0] * len(agents), {j for entry in shallow for j in entry[3]}, n, rows_pass)
         if trie is False:
             continue
         for arrow_masks in arrow_tuples(trie):
             if not point_generated(arrow_masks):
                 continue
-            m, memo = None, {}
-            for entry in kept:
-                c, depth = entry[1], entry[2]
-                key = depth is not None and s0_key(entry, arrow_masks, memo)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    if m is None:
-                        m = base._derive(dict(zip(agents, map(arrows_of, arrow_masks))), valuation)
-                        check = core_checker(budget)
-                    verdict = states[0] in check(m, c)
-                    if key:
-                        verdicts[key] = verdict
-                if not verdict:
-                    break
-            else:
-                return m or base._derive(dict(zip(agents, map(arrows_of, arrow_masks))), valuation)
+            memo = {}
+            candidate.clear()
+            if all(verdict(entry, arrow_masks, memo, check_candidate) for entry in kept):
+                return model(arrow_masks)
     return None

@@ -41,6 +41,7 @@ from aaul import search
 from aaul.cli import run
 from aaul.search import _canonical_candidates
 from aaul.syntax import flatten_conj, local_depth, signature, subformulas
+import helpers
 from helpers import (
     invoke,
     naive_canonical,
@@ -183,12 +184,12 @@ def test_sat_search_draws_only_arrow_tuples_whose_rows_pass():
 
 
 def test_sat_search_cache_changes_no_decision_at_one_size():
-    """Each quantifier-free conjunct decided once per neighbourhood of s0
-    gives the decisions of checking it on every candidate, at one size of 2
-    or 3 states, where a conjunct's
-    neighbourhood can leave states out, and under small budgets: where the
-    uncached search decides, the cached one returns the same model; every
-    refusal is kept, unless a cached verdict stands in for an update."""
+    """Each quantifier-free conjunct decided once per key (its top atoms
+    true at s0 and its successors' types) gives the decisions of checking
+    it on every candidate, at one size of 2 or 3 states, and under small
+    budgets: where the uncached search decides, the cached one returns the
+    same model; every refusal is kept, unless a cached verdict stands in
+    for an update."""
     rng = random.Random(13)
     refused = decided = 0
     for _ in range(80):
@@ -466,8 +467,9 @@ def test_sat_search_trie_keeps_exactly_the_candidates_whose_rows_it_holds(n, pro
 
 
 def test_sat_search_cache_changes_no_decision():
-    """Each quantifier-free conjunct decided once per neighbourhood of s0
-    gives the decisions of checking it on every candidate."""
+    """Each quantifier-free conjunct decided once per key (its top atoms
+    true at s0 and its successors' types) gives the decisions of checking
+    it on every candidate."""
     rng = random.Random(20261019)
     shapes = (
         (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 3), (("a", "b"), ("p", "q"), 1), (("a",), ("p",), 3),
@@ -521,13 +523,13 @@ def _edge_conjunct(rng, agents, props, depth: int, atom: str):
 
 
 def test_sat_search_shares_views_across_valuations():
-    """A conjunct of local depth d decided once per type of s0, which its
-    view fixes (its rows within distance < d, its atoms within distance <=
-    d), across every valuation: against the same search deciding every
-    conjunct on every candidate, and against the reference, which checks f
-    whole. Each formula has a conjunct that reads an atom at distance
-    exactly d (its view's edge) and one that reads another atom one step
-    further."""
+    """A conjunct of local depth d decided once per key (its top atoms true
+    at s0 and its successors' (d-1)-types, which the states within
+    distance d fix), across every valuation: against the same search
+    deciding every conjunct on every candidate, and against the reference,
+    which checks f whole. Each formula has a conjunct that reads an atom at
+    distance exactly d (the edge of what its key reads) and one that reads
+    another atom one step further."""
     rng = random.Random(20261020)
     shapes = ((("a",), ("p", "q"), 2), (("a", "b"), ("p", "q"), 2), (("a",), ("p", "q"), 3), (("a",), ("p",), 3))
     found = refuted = naive_checked = 0
@@ -759,22 +761,32 @@ def test_sat_search_kernel_checks_pinned():
     with evaluators_built() as built:
         assert sat_search(parse_formula("<a>(p & q) & <a>(p & ~q) & <a>(~p & q)"), 3) is not None
     assert sum(map(len, built)) == 26
+    # the other three templates, with the two above 102 checks per pass: a
+    # shared verdict lost, or a probe no longer settling, shows here
+    for text, found, checks in (
+        ("<a>p & [a]q & [*]<a>true", False, 1),
+        ("<a>(p & q) & <a>(p & ~q) & <a>(~p & q) & [a]<*>[a]false", True, 27),
+        ("<a>(p & <a>q) & [a]~q & <*>[a][a]false", True, 28),
+    ):
+        with evaluators_built() as built:
+            assert (sat_search(parse_formula(text), 3) is not None) == found, text
+        assert sum(map(len, built)) == checks, text
 
 
 def test_sat_search_builds_fewer_evaluators():
     # "<a>p & [a]~p" is unsatisfiable, so every point-generated candidate up
     # to 3 states is visited; its conjuncts read no atom at s0, only the set
     # of p's values where s0's arrows lead, so each is decided once per such
-    # set, shared by every size, by the probe evaluator of the first
-    # valuation to show it: the two valuations at one state and the first at
-    # two states with a p and a ~p state build one, those at three states
-    # show no new set, and no candidate is built
+    # set a row of s0 shows, shared by every size, by a probe on an
+    # evaluator of its own: <a>p on the empty set, {~p} and {p} at one state
+    # and on {p, ~p} at two, and [a]~p, reached only where <a>p holds, on
+    # {p} and {p, ~p}; no candidate is built
     argv = ["sat-search", "<a>p & [a]~p", "--max-states", "3"]
     with evaluators_built() as cached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
     with evaluators_built(cache=False) as uncached:
         assert invoke(argv) == (1, "none up to 3 states\n", "")
-    assert (len(cached), len(uncached)) == (3, 1092)
+    assert (len(cached), len(uncached)) == (6, 1092)
 
 
 def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
@@ -792,3 +804,17 @@ def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
     # candidate is built
     argv[3] = "2"
     assert invoke(argv) == (1, "none up to 2 states\n", "")
+    # the reference, checking f whole, refuses where [a][*]false meets two
+    # arrow blocks, on a candidate with p false at s0. There the update
+    # conjunct, checked first on the model with no arrows, is false, so the
+    # search rejects the candidate unchecked and answers none by design
+    f = parse_formula("<{(true,a,true),(true,a,p)}>p & [a][*]false & <*><a>~p")
+    budget = Budget(max_arrow_blocks=1)
+    assert sat_search(f, 3, budget=budget) is None
+    refused_on = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helpers, "satisfies", lambda m, *args: refused_on.append(m) or satisfies(m, *args))
+        with pytest.raises(AaulError, match="2 arrow blocks exceed the cap of 1"):
+            naive_sat_search(f, 3, ("a",), ("p",), budget)
+    m = refused_on[-1]
+    assert m.point not in m.valuation["p"] and _generated(_masks(m, ("a",), ("p",))[1], len(m.states))
