@@ -62,9 +62,10 @@ def sat_search(
     if max_states < 1:
         raise AaulError("max_states must be at least 1")
     conjuncts = flatten_conj(f)
-    # the conjuncts' plans, their verdicts and the types that key them name
-    # no size, so every size shares them
-    shared = _plans(conjuncts, agents, props), {}, {}
+    # the conjuncts' plans, their verdicts, the types that key them, the
+    # arrowless outcomes and the dead profiles name no size, so every size
+    # shares them
+    shared = _plans(conjuncts, agents, props), {}, {}, {}, set()
 
     seen = 0
     for n in range(1, max_states + 1):
@@ -248,9 +249,9 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     """The first model with n states, in candidate order, that satisfies
     every one of the formulas `conjuncts` at s0, checked in `_plans` order,
     among those in canonical form in which s0 reaches every state; None if
-    there is none. `shared` holds the conjuncts' `_plans`, the verdicts and
-    the type table, for one search to pass from size to size; None starts
-    them afresh.
+    there is none. `shared` holds the conjuncts' `_plans`, the verdicts,
+    the type table, the arrowless outcomes and the dead profiles, for one
+    search to pass from size to size; None starts them afresh.
 
     A candidate is a tuple of n-bit valuation masks, one per proposition,
     then n*n-bit arrow masks, one per agent, visited in itertools.product
@@ -265,7 +266,7 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     None comes by design: the candidate the reference refuses on may be
     one that s0 does not generate, or one that a conjunct checked first,
     or a verdict kept from another model, rejects here. The argument rests
-    on four facts.
+    on five facts.
 
     - Point generation. f's truth at s0 depends only on the submodel that
       s0 generates ([U] keeps the arrows between its states as the clauses
@@ -352,6 +353,34 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
       is in it, in the same order. A row tuple's fate reads only the rows
       of the agents that conjuncts of depth 1 mention, so every other
       agent's level holds all its rows over one shared subtrie.
+    - Profiles. Two steps read less of a valuation than all of it, and
+      their outcomes are kept for the whole search under what they read.
+      (1) The loop of (a) calls `verdict` only on the model with no arrows,
+      where each key is a conjunct's index and its top atoms true at s0: a
+      function of s0's atoms, `atoms0`. When every call decides, each
+      verdict is kept, so a later valuation of any size with the same
+      `atoms0` would make the same calls, in the same order, find each one
+      kept and reach the same kept plans or the same skip: the outcome is
+      kept under `atoms0` (`arrowless`). A refused call keeps nothing, and
+      a later valuation's probe may decide, so then the outcome is not
+      kept. (2) (a) drops only conjuncts of local depth 0 and top-level
+      [*]g/<*>g, so the conjuncts (b) judges, `shallow`, are the same in
+      every valuation; `shown` is the union of their atom masks, and
+      `shown0` that of their top atoms. A row's set of type_0 over a
+      conjunct's atoms is the image, under masking by them, of its set of
+      type_0 over `shown`. So a row tuple's keys are a function of `atoms0 &
+      shown0` and, per agent, the set of type_0 over `shown` of its row's
+      states. A row can be any set of states, so these sets are exactly the
+      subsets of the set of type_0 over `shown` present among the n states.
+      The profile, `atoms0 & shown0` and that set, thus fixes the key
+      tuples the row tuples show, at any size. A trie comes out
+      empty only when every row tuple met a decided false verdict after
+      decided true ones, with no refusal before it, and all of those
+      verdicts are kept. A later valuation with the same profile shows only
+      key tuples an earlier row tuple showed, finds the same kept verdicts
+      and would build an empty trie again, checking nothing: it is skipped
+      (`dead`). This needs every row tuple judged, those that leave s0 no
+      other state included (`rows_pass`).
 
     A verdict kept or settled is the one the candidate's own evaluation
     gives wherever that decides. So where the reference decides, every
@@ -367,7 +396,7 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
         base = KripkeModel(states, agents, props, {}, {}, point=states[0])
     except ValueError as e:  # the constructor's own error is not an AaulError
         raise AaulError(str(e)) from None
-    plans, verdicts, types = shared or (_plans(conjuncts, agents, props), {}, {})
+    plans, verdicts, types, arrowless, dead = shared or (_plans(conjuncts, agents, props), {}, {}, {}, set())
     # per-size tables, O(n * 2^n) entries: the states of each n-bit mask as
     # names, the lowest state of each nonempty mask, for each state i the
     # arrows out of it, indexed by row i (bits i*n .. i*n+n-1) of an arrow
@@ -472,12 +501,25 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     def rows_pass(row0: tuple) -> bool:
         """(b): False when a conjunct of `shallow`, those of depth 1,
         reached before any whose probe refuses, is false with s0's rows
-        row0, the arrow masks of the model that holds only them."""
+        row0, the arrow masks of the model that holds only them. A tuple
+        whose rows leave s0 no other state is judged too, though no
+        candidate drawn has it: a dead profile needs every subset of the
+        types present shown by some row, and at times only the row {s0}
+        shows {type_0(s0)}."""
         for entry in shallow:
             holds = verdict(entry, row0, None, probe)
             if not holds:
                 return holds is None
         return True
+
+    # (a) drops no conjunct of local depth >= 1, so the type_0 tables and
+    # the conjuncts (b) judges are the same in every valuation
+    masks = {entry[4] for entry in plans if entry[2]}
+    shallow = [entry for entry in plans if entry[2] == 1]
+    read1 = {j for entry in shallow for j in entry[3]}
+    shown = shown0 = 0
+    for entry in shallow:
+        shown, shown0 = shown | entry[4], shown0 | entry[5]
 
     for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
         # the valuation as one int: state s's atoms from bit s * len(props)
@@ -488,27 +530,37 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
         atoms0 = packed & ((1 << len(props)) - 1)
         # (a): the plans less the conjuncts the model with no arrows decides
         # true for every candidate; one it decides false for every candidate
-        # skips the valuation
-        kept = []
-        for entry in plans:
-            kind = type(entry[1])
-            if entry[2] == 0 or kind is ArbBox or kind is ArbDiamond:
-                holds = verdict(entry, no_arrows, None, probe)
-                if holds is False and kind is not ArbDiamond:
-                    kept = None
-                    break
-                if holds and kind is not ArbBox:
-                    continue
-            kept.append(entry)
+        # skips the valuation (False). Kept per atoms0 unless a probe refused
+        kept = arrowless.get(atoms0)
         if kept is None:
+            kept, decided = [], True
+            for entry in plans:
+                kind = type(entry[1])
+                if entry[2] == 0 or kind is ArbBox or kind is ArbDiamond:
+                    holds = verdict(entry, no_arrows, None, probe)
+                    decided = decided and holds is not None
+                    if holds is False and kind is not ArbDiamond:
+                        kept = False
+                        break
+                    if holds and kind is not ArbBox:
+                        continue
+                kept.append(entry)
+            if decided:
+                arrowless[atoms0] = kept
+        if kept is False:
             continue
-        zeros = {entry[4]: tuple([packed >> s * len(props) & entry[4] for s in range(n)]) for entry in kept if entry[2]}
+        # a valuation with the profile of one whose trie came out empty is
+        # skipped ("Profiles")
+        profile = atoms0 & shown0, frozenset([packed >> s * len(props) & shown for s in range(n)])
+        if profile in dead:
+            continue
+        zeros = {atoms: tuple([packed >> s * len(props) & atoms for s in range(n)]) for atoms in masks}
         succ = {atoms: sets_of(t0) for atoms, t0 in zeros.items()}
         # (b): the trie of the row tuples that pass; a fate reads only the
         # rows of the agents that conjuncts of depth 1 read
-        shallow = [entry for entry in kept if entry[2] == 1]
-        trie = _row_trie(0, [0] * len(agents), {j for entry in shallow for j in entry[3]}, n, rows_pass)
+        trie = _row_trie(0, [0] * len(agents), read1, n, rows_pass)
         if trie is False:
+            dead.add(profile)
             continue
         for arrow_masks in arrow_tuples(trie):
             if not point_generated(arrow_masks):

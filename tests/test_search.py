@@ -773,6 +773,101 @@ def test_sat_search_kernel_checks_pinned():
         assert sum(map(len, built)) == checks, text
 
 
+def test_sat_search_skips_dead_type_profiles():
+    # a valuation whose row trie comes out empty keeps its profile: its atoms
+    # at s0 that conjuncts of depth 1 read there, and the set of type_0 over
+    # their atoms that its states show. A later valuation of any size with
+    # that profile shows only row keys already judged false, and is skipped
+    # without a trie (46, 60 and 46 tries when every valuation built one)
+    model = "states: s0 s1 s2\nagent a: s0->s0 s0->s1 s0->s2\nval p: s0 s1\nval q: s0 s2\npoint: s0\n"
+    real = search._row_trie
+    for text, tries, printed in (
+        ("<a>(p & q) & <a>(p & ~q) & <a>(~p & q)", 14, (0, model, "")),
+        ("<{(p,a,q)}><a>q & [a]~q", 28, (1, "none up to 3 states\n", "")),
+        ("<a>(p & q) & <a>(p & ~q) & <a>(~p & q) & [a]<*>[a]false", 14, (0, model, "")),
+    ):
+        levels = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_row_trie", lambda level, *args: levels.append(level) or real(level, *args))
+            assert invoke(["sat-search", text, "--max-states", "3"]) == printed, text
+        assert levels.count(0) == tries, text
+
+
+def _literal(rng, props):
+    p = Atom(rng.choice(props))
+    return p if rng.random() < 0.5 else Not(p)
+
+
+def _profile_conjunct(rng, agents, props):
+    """A conjunct of local depth 1, a modality over one or two atoms, alone
+    or joined to a literal at s0; or of local depth 0, a literal, or an
+    update whose clause, four negations deep, is judged only where an arrow
+    needs it."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return _literal(rng, props)
+    if kind == 1:
+        clause = Clause(Not(Not(Not(Not(_literal(rng, props))))), rng.choice(agents), TOP)
+        return rng.choice((UpdateBox, UpdateDiamond))(Update((clause,)), _literal(rng, props))
+    body = rng.choice((_literal(rng, props), rng.choice((And, Or))(_literal(rng, props), _literal(rng, props))))
+    modal = rng.choice((Box, Diamond, Diamond))(rng.choice(agents), body)
+    if kind <= 3:
+        return modal
+    parts = [_literal(rng, props), modal]
+    rng.shuffle(parts)
+    return rng.choice((Implies, Or, Iff))(*parts)
+
+
+def test_sat_search_dead_profiles_match_naive_reference():
+    """Arrowless outcomes kept per atoms of s0, and valuations skipped by a
+    dead profile (`_sat_search_n`, "Profiles"), over three atoms: against
+    the same search deciding every conjunct on every candidate, and against
+    the reference, which checks f whole, at up to 2 states. Each formula
+    has two <a> conjuncts that need different successors, so most answers
+    take 2 or 3 states, and conjuncts of depth 1 that read 1-2 atoms past
+    s0 and some at s0. A valuation skipped by a profile that left out s0's
+    atoms answers wrongly here. Under the default budget, `_settled` also
+    refuses every probe on a one-state model: a refused probe keeps no
+    outcome, so no candidate of more states is asked a conjunct of depth
+    0, which the arrowless probe then decides."""
+    rng = random.Random(20261106)
+    agents, props = ("a",), ("p", "q", "r")
+    found = refuted = refused = naive_checked = 0
+    real = search._settled
+    for _ in range(90):
+        max_states = rng.choice((1, 2, 2, 3, 3))
+        x = rng.choice(props)
+        others = [p for p in props if p != x]
+        parts = [Diamond("a", And(Atom(x), _literal(rng, others))), Diamond("a", And(Not(Atom(x)), _literal(rng, others)))]
+        parts += [_profile_conjunct(rng, agents, props) for _ in range(rng.randint(1, 3))]
+        f = conj(parts)
+        budget = rng.choice((Budget(), Budget(max_recursion_depth=rng.randint(1, 4))))
+        shared = _outcome(f, max_states, agents, props, budget)
+        with evaluators_built(cache=False):
+            uncached = _outcome(f, max_states, agents, props, budget)
+        if not isinstance(uncached, AaulError):
+            assert shared == uncached, print_formula(f)
+        if max_states < 3:
+            try:
+                expected = naive_sat_search(f, max_states, agents, props, budget)
+            except AaulError:
+                pass
+            else:
+                assert shared == (None if expected is None else save_model(expected)), print_formula(f)
+                naive_checked += 1
+        found += isinstance(shared, str)
+        refuted += shared is None
+        refused += isinstance(shared, AaulError)
+        if budget == Budget() and max_states > 1:
+            with evaluators_built() as built, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_settled", lambda check, m, c: None if len(m.states) == 1 else real(check, m, c))
+                assert _outcome(f, max_states, agents, props, budget) == shared, print_formula(f)
+            depth0 = [c for c in flatten_conj(f) if local_depth(c) == 0]
+            asked = [(m, c) for pairs in built for m, c in pairs if c in depth0 and len(m.states) > 1]
+            assert not any(any(m.arrows.values()) for m, _ in asked), print_formula(f)
+    assert found >= 25 and refuted >= 20 and refused >= 20 and naive_checked >= 25
+
+
 def test_sat_search_builds_fewer_evaluators():
     # "<a>p & [a]~p" is unsatisfiable, so every point-generated candidate up
     # to 3 states is visited; its conjuncts read no atom at s0, only the set
