@@ -46,7 +46,11 @@ def sat_search(
     models come first, and within one size the order of `_sat_search_n`.
     `limit` caps the candidates summed over the sizes tried, and the
     entries of each size's relabelling table; going over it, or over
-    `budget` on some candidate, raises `AaulError`.
+    `budget` on some candidate, raises `AaulError`. The tables that
+    depend only on a size and the number of props, canonical valuations
+    included, are built once per process and kept for each size of at
+    most 4,096 valuations and relabelling entries (`_KEEP_MAX`), while
+    `limit` is still checked on every call.
 
     The model found is checked against f whole, as `satisfies` would, and
     a refusal there refuses the search: a verdict settled on a probe may
@@ -89,20 +93,49 @@ def sat_search(
     return None
 
 
+# What depends only on a size n and the number of props is built once per
+# process and kept in _KEPT: n's relabellings under n, and `_size_tables`
+# under (n, number of props), so a search pays per call only for what its
+# formula reads. A key is kept only when its relabelling entries, (n-1)! *
+# 2^n, and for (n, props) its valuations, 2^(n * props), each number at most
+# _KEEP_MAX. That covers every search of up to 3 states over up to 4 props,
+# and bounds what a process keeps whatever it searches: n <= 5 and n * props
+# <= 12, at most 37 keys of at most a few thousand entries each. A larger
+# size's tables are built the same way and dropped when its search returns.
+_KEEP_MAX = 4096
+_KEPT: dict = {}
+
+
+def _kept(key, entries: int, build):
+    """build(), or what it gave for key earlier in the process, kept when
+    entries is at most _KEEP_MAX."""
+    if key in _KEPT:
+        return _KEPT[key]
+    out = build()
+    if entries <= _KEEP_MAX:
+        _KEPT[key] = out
+    return out
+
+
 def _relabellings(n: int) -> tuple:
     """Every relabelling of states 0..n-1 that keeps state 0 (the point)
     fixed, except the identity, as a pair: the image of each n-bit state
     set, and for each state i the shift that moves its row of an n*n-bit
-    arrow mask (bit i*n + j is the arrow i->j) to the row of its image."""
-    out = []
-    # permutations() yields the identity first
-    for perm in itertools.islice(itertools.permutations(range(1, n)), 1, None):
-        mapping = (0, *perm)
-        image = tuple(
-            sum(((mask >> i) & 1) << mapping[i] for i in range(n)) for mask in range(1 << n)
-        )
-        out.append((image, tuple(mapping[i] * n for i in range(n))))
-    return tuple(out)
+    arrow mask (bit i*n + j is the arrow i->j) to the row of its image.
+    Built once per process where `_kept` keeps it."""
+
+    def build():
+        out = []
+        # permutations() yields the identity first
+        for perm in itertools.islice(itertools.permutations(range(1, n)), 1, None):
+            mapping = (0, *perm)
+            image = tuple(
+                sum(((mask >> i) & 1) << mapping[i] for i in range(n)) for mask in range(1 << n)
+            )
+            out.append((image, tuple(mapping[i] * n for i in range(n))))
+        return tuple(out)
+
+    return _kept(n, math.factorial(n - 1) << n, build)
 
 
 def _relabel_states(relabelling, mask: int) -> int:
@@ -153,12 +186,44 @@ def _least_tuples(width: int, count: int, relabel, relabellings, trie=None, low:
                 yield (mask, *rest), stabiliser
 
 
-def _canonical_candidates(n: int, props: int, agents: int):
+def _size_tables(n: int, props: int) -> tuple:
+    """The tables of n-state candidates over `props` props, O(n * 2^n)
+    entries and one per canonical valuation: the states' names, the states
+    of each n-bit mask as names, the lowest state of each nonempty mask,
+    for each state i the arrows out of it indexed by row i (bits i*n ..
+    i*n+n-1) of an arrow mask, the mask of every state, and each state
+    mask's rows. Last, the valuation tuples in canonical form, in
+    `_least_tuples` order, each mapped to the relabellings that fix it, the
+    valuation as one int (state s's atoms from bit s * props on, bit k for
+    prop k) and the atoms true at s0."""
+    states = tuple(f"s{i}" for i in range(n))
+    state_sets = tuple(frozenset(s for j, s in enumerate(states) if (mask >> j) & 1) for mask in range(1 << n))
+    lowest = tuple((mask & -mask).bit_length() - 1 for mask in range(1 << n))
+    rows = tuple(tuple(frozenset((s, t) for t in targets) for targets in state_sets) for s in states)
+    full = (1 << n) - 1
+    row_bits = tuple(sum(full << i * n for i in range(n) if (mask >> i) & 1) for mask in range(1 << n))
+    # each state mask spread to bit s * props for each of its states s
+    spread = tuple(sum(1 << s * props for s in range(n) if (mask >> s) & 1) for mask in range(1 << n))
+    valuations = {}
+    for prop_masks, stabiliser in _least_tuples(n, props, _relabel_states, _relabellings(n)):
+        packed = sum([spread[mask] << k for k, mask in enumerate(prop_masks)])
+        valuations[prop_masks] = stabiliser, packed, packed & ((1 << props) - 1)
+    return states, state_sets, lowest, rows, full, row_bits, valuations
+
+
+def _tables(n: int, props: int) -> tuple:
+    """`_size_tables(n, props)`, built once per process where `_kept` keeps it."""
+    return _kept((n, props), max(1 << n * props, math.factorial(n - 1) << n), lambda: _size_tables(n, props))
+
+
+def _canonical_candidates(n: int, props: int, agents: int, valuations=None):
     """Each valuation tuple of n-state candidates in canonical form, with a
     function from a trie of s0-row tuples (the rows `mask & (2^n - 1)`, one
     level per agent; None for all) to an iterator over the arrow tuples
-    that complete it to one and whose row tuple is in the trie."""
-    for prop_masks, stabiliser in _least_tuples(n, props, _relabel_states, _relabellings(n)):
+    that complete it to one and whose row tuple is in the trie. The
+    valuations are those of `_tables(n, props)`; a search passes them in,
+    so that a size too large to keep is not built twice."""
+    for prop_masks, (stabiliser, _, _) in (valuations or _tables(n, props)[-1]).items():
 
         def arrow_tuples(trie=None, stabiliser=stabiliser):
             tuples = _least_tuples(n * n, agents, _relabel_arrows, stabiliser, trie, n)
@@ -357,16 +422,27 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
       their outcomes are kept for the whole search under what they read.
       (1) The loop of (a) calls `verdict` only on the model with no arrows,
       where each key is a conjunct's index and its top atoms true at s0: a
-      function of s0's atoms, `atoms0`. When every call decides, each
-      verdict is kept, so a later valuation of any size with the same
-      `atoms0` would make the same calls, in the same order, find each one
-      kept and reach the same kept plans or the same skip: the outcome is
-      kept under `atoms0` (`arrowless`). A refused call keeps nothing, and
-      a later valuation's probe may decide, so then the outcome is not
-      kept. (2) (a) drops only conjuncts of local depth 0 and top-level
-      [*]g/<*>g, so the conjuncts (b) judges, `shallow`, are the same in
-      every valuation; `shown` is the union of their atom masks, and
-      `shown0` that of their top atoms. A row's set of type_0 over a
+      function of s0's atoms, `atoms0`. On that model the kernel's
+      evaluation path reads the formula and the agents, not the valuation
+      or the size: every operand is evaluated, with no short-circuit;
+      [c]/<c> always evaluate their body (or refuse an undeclared c);
+      `apply_update` judges no clause formula when no arrow is left; and a
+      [*]/<*> walk evaluates its body on the empty union and then meets
+      zero arrow blocks, so no cap can refuse (the early exit after the
+      empty union only skips that zero-block `checked()`). Every model
+      derived there has no arrows, so it shares the probe's one fresh
+      memo, and each probe starts at the same stack depth. So memo hits,
+      the recursion refusal and the stack-depth refusal are the same for
+      every valuation: a probe refuses for one valuation exactly when it
+      refuses for all. A decided verdict is kept, so a later valuation of
+      any size with the same `atoms0` would make the same calls, in the
+      same order, find each decided one kept, see each refused one refuse
+      again and reach the same kept plans, a refused conjunct left among
+      them for the candidates, or the same skip: the outcome is kept under
+      `atoms0` (`arrowless`). (2) (a) drops only conjuncts of local depth
+      0 and top-level [*]g/<*>g, so the conjuncts (b) judges, `shallow`,
+      are the same in every valuation; `shown` is the union of their atom
+      masks, and `shown0` that of their top atoms. A row's set of type_0 over a
       conjunct's atoms is the image, under masking by them, of its set of
       type_0 over `shown`. So a row tuple's keys are a function of `atoms0 &
       shown0` and, per agent, the set of type_0 over `shown` of its row's
@@ -388,7 +464,7 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     accepted. Where it refuses, a returned model has every conjunct true,
     and None means every candidate was rejected.
     """
-    states = tuple(f"s{i}" for i in range(n))
+    states, state_sets, lowest, rows, full, row_bits, valuations = _tables(n, len(props))
     # validated once per size, so a bad agent or proposition name is
     # reported here; the candidates, over the same names, are derived from
     # it unchecked
@@ -397,21 +473,6 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     except ValueError as e:  # the constructor's own error is not an AaulError
         raise AaulError(str(e)) from None
     plans, verdicts, types, arrowless, dead = shared or (_plans(conjuncts, agents, props), {}, {}, {}, set())
-    # per-size tables, O(n * 2^n) entries: the states of each n-bit mask as
-    # names, the lowest state of each nonempty mask, for each state i the
-    # arrows out of it, indexed by row i (bits i*n .. i*n+n-1) of an arrow
-    # mask, the rows of each state mask, and each state mask spread to bit
-    # s * len(props) for each of its states s
-    state_sets = tuple(
-        frozenset(s for j, s in enumerate(states) if (mask >> j) & 1) for mask in range(1 << n)
-    )
-    lowest = tuple((mask & -mask).bit_length() - 1 for mask in range(1 << n))
-    rows = tuple(
-        tuple(frozenset((s, t) for t in targets) for targets in state_sets) for s in states
-    )
-    full = (1 << n) - 1
-    row_bits = tuple(sum(full << i * n for i in range(n) if (mask >> i) & 1) for mask in range(1 << n))
-    spread = tuple(sum(1 << s * len(props) for s in range(n) if (mask >> s) & 1) for mask in range(1 << n))
     no_arrows = (0,) * len(agents)
 
     arrow_sets = {}  # each arrow mask's arrows, built on first use
@@ -521,32 +582,29 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     for entry in shallow:
         shown, shown0 = shown | entry[4], shown0 | entry[5]
 
-    for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
-        # the valuation as one int: state s's atoms from bit s * len(props)
-        # on, bit k for props[k]. Read by `verdict` and `table`: the atoms
-        # true at s0, and per atom mask of a conjunct of local depth >= 1
-        # each state's type_0 over it and the `sets_of` those
-        packed = sum([spread[mask] << k for k, mask in enumerate(prop_masks)])
-        atoms0 = packed & ((1 << len(props)) - 1)
+    for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents), valuations):
+        # the valuation as one int, and the atoms true at s0. Read by
+        # `verdict` and `table`: per atom mask of a conjunct of local depth
+        # >= 1, each state's type_0 over it and the `sets_of` those
+        _, packed, atoms0 = valuations[prop_masks]
         # (a): the plans less the conjuncts the model with no arrows decides
         # true for every candidate; one it decides false for every candidate
-        # skips the valuation (False). Kept per atoms0 unless a probe refused
+        # skips the valuation (False). Kept per atoms0, refused probes
+        # included ("Profiles")
         kept = arrowless.get(atoms0)
         if kept is None:
-            kept, decided = [], True
+            kept = []
             for entry in plans:
                 kind = type(entry[1])
                 if entry[2] == 0 or kind is ArbBox or kind is ArbDiamond:
                     holds = verdict(entry, no_arrows, None, probe)
-                    decided = decided and holds is not None
                     if holds is False and kind is not ArbDiamond:
                         kept = False
                         break
                     if holds and kind is not ArbBox:
                         continue
                 kept.append(entry)
-            if decided:
-                arrowless[atoms0] = kept
+            arrowless[atoms0] = kept
         if kept is False:
             continue
         # a valuation with the profile of one whose trie came out empty is

@@ -827,12 +827,14 @@ def test_sat_search_dead_profiles_match_naive_reference():
     take 2 or 3 states, and conjuncts of depth 1 that read 1-2 atoms past
     s0 and some at s0. A valuation skipped by a profile that left out s0's
     atoms answers wrongly here. Under the default budget, `_settled` also
-    refuses every probe on a one-state model: a refused probe keeps no
-    outcome, so no candidate of more states is asked a conjunct of depth
-    0, which the arrowless probe then decides."""
+    refuses the first conjunct of depth 0 on every model with no arrows,
+    as a real refusal there would, since it reads the formula alone: the
+    arrowless outcome is kept per atoms of s0 with that conjunct left to
+    the candidates, which are asked it, and no pair of atoms of s0 and
+    conjunct gets a second arrowless probe."""
     rng = random.Random(20261106)
     agents, props = ("a",), ("p", "q", "r")
-    found = refuted = refused = naive_checked = 0
+    found = refuted = refused = naive_checked = asked = 0
     real = search._settled
     for _ in range(90):
         max_states = rng.choice((1, 2, 2, 3, 3))
@@ -858,14 +860,25 @@ def test_sat_search_dead_profiles_match_naive_reference():
         found += isinstance(shared, str)
         refuted += shared is None
         refused += isinstance(shared, AaulError)
-        if budget == Budget() and max_states > 1:
+        depth0 = [c for c in flatten_conj(f) if local_depth(c) == 0]
+        if budget == Budget() and depth0:
+            probes, arrowless = [], []
+
+            def settled(check, m, c):
+                probes.append(m)
+                if any(m.arrows.values()) or not any(c is g for g in depth0):
+                    return real(check, m, c)
+                arrowless.append((frozenset(p for p in props if m.point in m.valuation[p]), id(c)))
+                return None if c is depth0[0] else real(check, m, c)
+
             with evaluators_built() as built, pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_settled", lambda check, m, c: None if len(m.states) == 1 else real(check, m, c))
+                mp.setattr(search, "_settled", settled)
                 assert _outcome(f, max_states, agents, props, budget) == shared, print_formula(f)
-            depth0 = [c for c in flatten_conj(f) if local_depth(c) == 0]
-            asked = [(m, c) for pairs in built for m, c in pairs if c in depth0 and len(m.states) > 1]
-            assert not any(any(m.arrows.values()) for m, _ in asked), print_formula(f)
+            assert len(arrowless) == len(set(arrowless)), print_formula(f)
+            probed = {id(m) for m in probes}
+            asked += any(c is depth0[0] and id(m) not in probed for pairs in built for m, c in pairs)
     assert found >= 25 and refuted >= 20 and refused >= 20 and naive_checked >= 25
+    assert asked >= 8
 
 
 def test_sat_search_builds_fewer_evaluators():
@@ -913,3 +926,104 @@ def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
             naive_sat_search(f, 3, ("a",), ("p",), budget)
     m = refused_on[-1]
     assert m.point not in m.valuation["p"] and _generated(_masks(m, ("a",), ("p",))[1], len(m.states))
+
+
+def test_sat_search_keeps_arrowless_outcomes_past_refused_probes():
+    # on the model with no arrows the kernel's path reads the formula alone
+    # (`_sat_search_n`, "Profiles" (1)), so a probe refused there is refused
+    # for every valuation: ~~~q goes past the recursion cap of 3 under each
+    # of the 4 sets of s0's atoms, and the arrowless outcome, the update left
+    # to the candidates, is kept per set (18 refused probes when a refusal
+    # kept no outcome). A candidate then meets the same refusal
+    f = parse_formula("<a>(p & q) & <a>(p & ~q) & <{(p,a,true)}>~~~q")
+    real, refused = search._settled, []
+
+    def counted(check, m, c):
+        holds = real(check, m, c)
+        if holds is None and not any(m.arrows.values()):
+            refused.append((frozenset(p for p in m.props if m.point in m.valuation[p]), c))
+        return holds
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_settled", counted)
+        with pytest.raises(AaulError, match="recursion deeper than 3"):
+            sat_search(f, 3, budget=Budget(max_recursion_depth=3))
+    assert len(refused) == len(set(refused)) == 4
+
+
+def _shown(outcome):
+    """An outcome of `_outcome` as plain data, a refusal by type and text."""
+    return (type(outcome).__name__, str(outcome)) if isinstance(outcome, AaulError) else outcome
+
+
+def test_sat_search_kept_tables_change_no_output():
+    """The tables kept per size and number of props (`search._KEPT`) give
+    every output, refusal messages included, that tables built afresh for
+    each call give, over seeded cases whose shapes interleave, so that one
+    kept key serves searches over other agent and prop names."""
+    rng = random.Random(20261107)
+    names = (("a",), ("b",), ("a", "b"), ("c", "a"))
+    prop_sets = ((), ("p",), ("q",), ("p", "q"), ("r", "p"), ("p", "q", "r"), ("s", "r", "q"))
+    generators = (_cache_conjunct, _settling_conjunct, _undeclared_conjunct, _profile_conjunct, _top_conjunct)
+    cases = []
+    for _ in range(300):
+        agents, props = rng.choice(names), rng.choice(prop_sets)
+        drawn = props or ("p",)  # with no props, its atoms are false everywhere
+        f = conj([rng.choice(generators)(rng, agents, drawn) for _ in range(rng.randint(1, 3))])
+        budget = rng.choice(
+            (Budget(), Budget(max_recursion_depth=rng.randint(1, 4)), Budget(max_arrow_blocks=rng.randint(1, 3)))
+        )
+        cases.append((f, rng.randint(1, 3), agents, props, budget))
+    outputs, built = {}, []
+    real = search._size_tables
+    for warm in (False, True):
+        search._KEPT.clear()
+        outputs[warm] = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_size_tables", lambda *key: built.append((warm, key)) or real(*key))
+            for case in cases:
+                if not warm:
+                    search._KEPT.clear()
+                outputs[warm].append(_shown(_outcome(*case)))
+    for case, cold, warm in zip(cases, outputs[False], outputs[True]):
+        assert warm == cold, print_formula(case[0])
+    # kept, each key is built once and serves names other than its first's
+    kept = [key for warm, key in built if warm]
+    assert len(kept) == len(set(kept)) < len(built) - len(kept)
+    for width in (1, 2, 3):
+        assert len({case[3] for case in cases if len(case[3]) == width}) >= 2
+    kinds = [str if isinstance(o, str) else type(o) for o in outputs[True]]
+    assert min(kinds.count(str), kinds.count(type(None)), kinds.count(tuple)) >= 30
+
+
+def test_sat_search_kept_tables_keep_limits_and_bound():
+    # a kept table never lets through a call its own limit refuses: a
+    # warm process raises what a cold one does, before any table is read
+    refusals = (
+        (parse_formula("<a>p & [a]~p"), 100, "search space at 3 states needs 4096 candidates, over limit 100"),
+        (parse_formula("false"), 5, "relabelling table at 3 states needs 8 entries, over limit 5"),
+    )
+    for warm in (False, True):
+        search._KEPT.clear()
+        for f, limit, message in refusals:
+            if warm:
+                assert sat_search(f, 3) is None
+            with pytest.raises(AaulError) as refused:
+                sat_search(f, 3, limit=limit)
+            assert str(refused.value) == message
+    # a second search at kept sizes builds no table; a size over the bound
+    # (2^15 valuations at 5 states over 3 props) is built once per search
+    # and kept by none, and so are 6 states' 7,680 relabelling entries
+    real, built = search._size_tables, []
+    search._KEPT.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_size_tables", lambda *key: built.append(key) or real(*key))
+        for _ in range(2):
+            assert sat_search(parse_formula("<a>p & [a]~p"), 3) is None
+        assert built == [(1, 1), (2, 1), (3, 1)]
+        for _ in range(2):
+            assert sat_search(parse_formula("p & ~p"), 5, props=("p", "q", "r")) is None
+        assert built[3:] == [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (5, 3)]
+    assert (4, 3) in search._KEPT and (5, 3) not in search._KEPT and 5 in search._KEPT
+    assert sat_search(parse_formula("false"), 6) is None
+    assert (6, 0) not in search._KEPT and 6 not in search._KEPT
