@@ -46,11 +46,11 @@ def sat_search(
     models come first, and within one size the order of `_sat_search_n`.
     `limit` caps the candidates summed over the sizes tried, and the
     entries of each size's relabelling table; going over it, or over
-    `budget` on some candidate, raises `AaulError`. The tables that
-    depend only on a size and the number of props, canonical valuations
-    included, are built once per process and kept for each size of at
-    most 4,096 valuations and relabelling entries (`_KEEP_MAX`), while
-    `limit` is still checked on every call.
+    `budget` on some candidate, raises `AaulError`. Repeated searches in
+    one process share the tables that depend only on a size and the
+    number of props, canonical valuations included, for each size of at
+    most 4,096 valuations and relabelling entries (`_KEEP_MAX`); `limit`
+    is still checked on every call.
 
     The model found is checked against f whole, as `satisfies` would, and
     a refusal there refuses the search: a verdict settled on a probe may
@@ -93,49 +93,20 @@ def sat_search(
     return None
 
 
-# What depends only on a size n and the number of props is built once per
-# process and kept in _KEPT: n's relabellings under n, and `_size_tables`
-# under (n, number of props), so a search pays per call only for what its
-# formula reads. A key is kept only when its relabelling entries, (n-1)! *
-# 2^n, and for (n, props) its valuations, 2^(n * props), each number at most
-# _KEEP_MAX. That covers every search of up to 3 states over up to 4 props,
-# and bounds what a process keeps whatever it searches: n <= 5 and n * props
-# <= 12, at most 37 keys of at most a few thousand entries each. A larger
-# size's tables are built the same way and dropped when its search returns.
-_KEEP_MAX = 4096
-_KEPT: dict = {}
-
-
-def _kept(key, entries: int, build):
-    """build(), or what it gave for key earlier in the process, kept when
-    entries is at most _KEEP_MAX."""
-    if key in _KEPT:
-        return _KEPT[key]
-    out = build()
-    if entries <= _KEEP_MAX:
-        _KEPT[key] = out
-    return out
-
-
 def _relabellings(n: int) -> tuple:
     """Every relabelling of states 0..n-1 that keeps state 0 (the point)
     fixed, except the identity, as a pair: the image of each n-bit state
     set, and for each state i the shift that moves its row of an n*n-bit
-    arrow mask (bit i*n + j is the arrow i->j) to the row of its image.
-    Built once per process where `_kept` keeps it."""
-
-    def build():
-        out = []
-        # permutations() yields the identity first
-        for perm in itertools.islice(itertools.permutations(range(1, n)), 1, None):
-            mapping = (0, *perm)
-            image = tuple(
-                sum(((mask >> i) & 1) << mapping[i] for i in range(n)) for mask in range(1 << n)
-            )
-            out.append((image, tuple(mapping[i] * n for i in range(n))))
-        return tuple(out)
-
-    return _kept(n, math.factorial(n - 1) << n, build)
+    arrow mask (bit i*n + j is the arrow i->j) to the row of its image."""
+    out = []
+    # permutations() yields the identity first
+    for perm in itertools.islice(itertools.permutations(range(1, n)), 1, None):
+        mapping = (0, *perm)
+        image = tuple(
+            sum(((mask >> i) & 1) << mapping[i] for i in range(n)) for mask in range(1 << n)
+        )
+        out.append((image, tuple(mapping[i] * n for i in range(n))))
+    return tuple(out)
 
 
 def _relabel_states(relabelling, mask: int) -> int:
@@ -188,48 +159,71 @@ def _least_tuples(width: int, count: int, relabel, relabellings, trie=None, low:
 
 def _size_tables(n: int, props: int) -> tuple:
     """The tables of n-state candidates over `props` props, O(n * 2^n)
-    entries and one per canonical valuation: the states' names, the states
-    of each n-bit mask as names, the lowest state of each nonempty mask,
-    for each state i the arrows out of it indexed by row i (bits i*n ..
-    i*n+n-1) of an arrow mask, the mask of every state, and each state
-    mask's rows. Last, the valuation tuples in canonical form, in
-    `_least_tuples` order, each mapped to the relabellings that fix it, the
-    valuation as one int (state s's atoms from bit s * props on, bit k for
-    prop k) and the atoms true at s0."""
+    entries: the states' names, the states of each n-bit mask as names, the
+    lowest state of each nonempty mask, for each state i the arrows out of
+    it indexed by row i (bits i*n .. i*n+n-1) of an arrow mask, the mask of
+    every state, each state mask's rows, and each state mask spread to bit
+    s * props for each of its states s."""
     states = tuple(f"s{i}" for i in range(n))
     state_sets = tuple(frozenset(s for j, s in enumerate(states) if (mask >> j) & 1) for mask in range(1 << n))
     lowest = tuple((mask & -mask).bit_length() - 1 for mask in range(1 << n))
     rows = tuple(tuple(frozenset((s, t) for t in targets) for targets in state_sets) for s in states)
     full = (1 << n) - 1
     row_bits = tuple(sum(full << i * n for i in range(n) if (mask >> i) & 1) for mask in range(1 << n))
-    # each state mask spread to bit s * props for each of its states s
     spread = tuple(sum(1 << s * props for s in range(n) if (mask >> s) & 1) for mask in range(1 << n))
-    valuations = {}
-    for prop_masks, stabiliser in _least_tuples(n, props, _relabel_states, _relabellings(n)):
-        packed = sum([spread[mask] << k for k, mask in enumerate(prop_masks)])
-        valuations[prop_masks] = stabiliser, packed, packed & ((1 << props) - 1)
-    return states, state_sets, lowest, rows, full, row_bits, valuations
+    return states, state_sets, lowest, rows, full, row_bits, spread
+
+
+# Searches that repeat a size n and a number of props in one process (a
+# library caller's loop, a test suite, the benchmark's passes) share what
+# depends only on those two: `_tables` keeps `_size_tables(n, props)` in
+# _KEPT, and `_canonical_candidates` lists there the canonical valuations
+# once a search has drawn them all, so that a later search pays only for
+# what its formula reads. A single search gains nothing: it builds each
+# size once anyway, and draws its valuations lazily either way. A key is
+# kept only when its valuations, 2^(n * props), and relabelling entries,
+# (n-1)! * 2^n, each number at most _KEEP_MAX. That covers every search of
+# up to 3 states over up to 4 props, and bounds what a process keeps
+# whatever it searches: n <= 5 and n * props <= 12, at most 32 keys of at
+# most a few thousand entries each. A larger size's tables are built afresh
+# for each use. Threads that build or list one key at once store equal
+# values, and a search reads a list only once it is whole, so no lock is
+# needed.
+_KEEP_MAX = 4096
+_KEPT: dict = {}
 
 
 def _tables(n: int, props: int) -> tuple:
-    """`_size_tables(n, props)`, built once per process where `_kept` keeps it."""
-    return _kept((n, props), max(1 << n * props, math.factorial(n - 1) << n), lambda: _size_tables(n, props))
+    """`_size_tables(n, props)` and last, where the bound above keeps them,
+    the list of canonical valuations (empty until a search has drawn them
+    all); None in that place where it does not."""
+    if (n, props) not in _KEPT:
+        if max(1 << n * props, math.factorial(n - 1) << n) > _KEEP_MAX:
+            return *_size_tables(n, props), None
+        _KEPT[n, props] = *_size_tables(n, props), []
+    return _KEPT[n, props]
 
 
-def _canonical_candidates(n: int, props: int, agents: int, valuations=None):
+def _canonical_candidates(n: int, props: int, agents: int):
     """Each valuation tuple of n-state candidates in canonical form, with a
     function from a trie of s0-row tuples (the rows `mask & (2^n - 1)`, one
     level per agent; None for all) to an iterator over the arrow tuples
     that complete it to one and whose row tuple is in the trie. The
-    valuations are those of `_tables(n, props)`; a search passes them in,
-    so that a size too large to keep is not built twice."""
-    for prop_masks, (stabiliser, _, _) in (valuations or _tables(n, props)[-1]).items():
+    valuations are drawn lazily, and listed in `_tables` at a kept size
+    once every one has been drawn."""
+    listed = _tables(n, props)[-1]
+    drawn = [] if listed == [] else None  # a kept size not listed yet
+    for prop_masks, stabiliser in listed or _least_tuples(n, props, _relabel_states, _relabellings(n)):
+        if drawn is not None:
+            drawn.append((prop_masks, stabiliser))
 
         def arrow_tuples(trie=None, stabiliser=stabiliser):
             tuples = _least_tuples(n * n, agents, _relabel_arrows, stabiliser, trie, n)
             return (arrow_masks for arrow_masks, _ in tuples)
 
         yield prop_masks, arrow_tuples
+    if drawn is not None:
+        listed[:] = drawn
 
 
 def _row_trie(level: int, rows: list, read, width: int, passes) -> dict | bool:
@@ -464,7 +458,7 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     accepted. Where it refuses, a returned model has every conjunct true,
     and None means every candidate was rejected.
     """
-    states, state_sets, lowest, rows, full, row_bits, valuations = _tables(n, len(props))
+    states, state_sets, lowest, rows, full, row_bits, spread, _ = _tables(n, len(props))
     # validated once per size, so a bad agent or proposition name is
     # reported here; the candidates, over the same names, are derived from
     # it unchecked
@@ -582,11 +576,13 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     for entry in shallow:
         shown, shown0 = shown | entry[4], shown0 | entry[5]
 
-    for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents), valuations):
-        # the valuation as one int, and the atoms true at s0. Read by
-        # `verdict` and `table`: per atom mask of a conjunct of local depth
-        # >= 1, each state's type_0 over it and the `sets_of` those
-        _, packed, atoms0 = valuations[prop_masks]
+    for prop_masks, arrow_tuples in _canonical_candidates(n, len(props), len(agents)):
+        # the valuation as one int: state s's atoms from bit s * len(props)
+        # on, bit k for props[k]. Read by `verdict` and `table`: the atoms
+        # true at s0, and per atom mask of a conjunct of local depth >= 1
+        # each state's type_0 over it and the `sets_of` those
+        packed = sum([spread[mask] << k for k, mask in enumerate(prop_masks)])
+        atoms0 = packed & ((1 << len(props)) - 1)
         # (a): the plans less the conjuncts the model with no arrows decides
         # true for every candidate; one it decides false for every candidate
         # skips the valuation (False). Kept per atoms0, refused probes

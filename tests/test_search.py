@@ -7,6 +7,8 @@ import contextlib
 import io
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -1012,8 +1014,8 @@ def test_sat_search_kept_tables_keep_limits_and_bound():
                 sat_search(f, 3, limit=limit)
             assert str(refused.value) == message
     # a second search at kept sizes builds no table; a size over the bound
-    # (2^15 valuations at 5 states over 3 props) is built once per search
-    # and kept by none, and so are 6 states' 7,680 relabelling entries
+    # (2^15 valuations at 5 states over 3 props) is built afresh for each
+    # use and kept by none, and so is 6 states' 7,680 relabelling entries
     real, built = search._size_tables, []
     search._KEPT.clear()
     with pytest.MonkeyPatch.context() as mp:
@@ -1023,7 +1025,55 @@ def test_sat_search_kept_tables_keep_limits_and_bound():
         assert built == [(1, 1), (2, 1), (3, 1)]
         for _ in range(2):
             assert sat_search(parse_formula("p & ~p"), 5, props=("p", "q", "r")) is None
-        assert built[3:] == [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (5, 3)]
-    assert (4, 3) in search._KEPT and (5, 3) not in search._KEPT and 5 in search._KEPT
+        assert built[3:7] == [(1, 3), (2, 3), (3, 3), (4, 3)] and set(built[7:]) == {(5, 3)}
+    assert (4, 3) in search._KEPT and (5, 3) not in search._KEPT
     assert sat_search(parse_formula("false"), 6) is None
-    assert (6, 0) not in search._KEPT and 6 not in search._KEPT
+    assert (6, 0) not in search._KEPT
+    # a kept size lists its valuations once a search has drawn them all,
+    # in the enumeration's order; one that stops early lists none
+    assert sat_search(parse_formula("p & q"), 1) is not None
+    assert search._KEPT[1, 2][-1] == []
+    assert sat_search(parse_formula("p & ~p"), 1, props=("p", "q")) is None
+    assert search._KEPT[1, 2][-1] == list(search._least_tuples(1, 2, search._relabel_states, ()))
+
+
+def test_sat_search_kept_tables_shared_by_threads():
+    """Threads that build and list the same kept sizes at once give the
+    outputs of one search at a time, and leave each size's valuations
+    listed once, in the enumeration's order."""
+    texts = ("<a>(p & q) & <a>(p & ~q) & <a>(~p & q)", "<a>p & [a]~p", "<{(p,a,q)}><a>q & [a]~q", "<a>(p & <a>q) & [a]~q")
+    formulas = [parse_formula(t) for t in texts]
+    expected = []
+    for f in formulas:
+        search._KEPT.clear()
+        expected.append(_shown(_outcome(f, 3, ("a",), ("p", "q"), Budget())))
+    search._KEPT.clear()
+    got = {}
+
+    def searches(k):
+        got[k] = [_shown(_outcome(f, 3, ("a",), ("p", "q"), Budget())) for f in formulas[k % 4 :] + formulas[: k % 4]]
+
+    threads = [threading.Thread(target=searches, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got[k] for k in range(6)] == [expected[k % 4 :] + expected[: k % 4] for k in range(6)]
+    for n in (1, 2, 3):
+        assert search._KEPT[n, 2][-1] == list(search._least_tuples(n, 2, search._relabel_states, search._relabellings(n)))
+    # and a size over the bound draws its valuations lazily: a search there
+    # that stops at an early valuation relabels a fraction of the state
+    # masks that listing them all does
+    calls, relabel = [], search._relabel_states
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_relabel_states", lambda *args: calls.append(args) or relabel(*args))
+        found = search._sat_search_n(flatten_conj(parse_formula("p & q & r")), 5, ("a",), ("p", "q", "r"), Budget())
+        drawn = len(calls)
+        listed = sum(1 for _ in search._least_tuples(5, 3, search._relabel_states, search._relabellings(5)))
+    assert found is not None and listed == 2640 and 4 * drawn < len(calls) - drawn
