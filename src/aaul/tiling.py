@@ -15,7 +15,14 @@ for the side colors of the placed tile.
 
 `encode_parts(inst).named()` is the one table of the encoding's parts,
 name to formula: refl_a, then the 24 top-level conjuncts of the formula in
-order. Its quantifier-free entries are the four grid conjuncts (one_tile,
+order. Each part is written as the line `aaul encode-tiling --conjunct
+NAME` prints it, in the package's formula syntax, and read with
+`parse_formula`: a fixed text for the parts that do not depend on the
+instance, with `{x}` for the direction in the four written once per
+direction, and the instance's per-pair, per-tile and per-color pieces
+joined as text for the rest. `_tile_prop` and `_side_prop` spell the
+tile and side propositions for both the encoder and `build_torus_model`.
+The table's quantifier-free entries are the four grid conjuncts (one_tile,
 one_color, tile_colors, tile_match), which `check_static_conjuncts`
 evaluates.
 
@@ -41,31 +48,13 @@ arrow blocks, and the default budget refuses them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 from .checker import Budget, DEFAULT_BUDGET, satisfies
-from .errors import AaulError, ModelFormatError
+from .errors import AaulError, ModelFormatError, ParseError
 from .kripke import KripkeModel, _check_name, _check_names, _declarations, _DeclarationError
-from .syntax import (
-    And,
-    ArbBox,
-    ArbDiamond,
-    Atom,
-    BOT,
-    Box,
-    Clause,
-    Diamond,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    TOP,
-    Update,
-    UpdateBox,
-    conj,
-    disj,
-    is_quantifier_free,
-)
+from .syntax import _NAME, Formula, Update, conj, is_quantifier_free, parse_formula, parse_update
 
 PROBE = "a"
 HUB = "b"
@@ -219,26 +208,50 @@ def parse_tiles(text: str) -> TileInstance:
 
 # ------------------------------------------------------------------ encoder
 
-_DIA_A_TOP = Diamond(PROBE, TOP)
-_BOX_A_BOT = Box(PROBE, BOT)
+# Each part as `aaul encode-tiling --conjunct NAME` prints it; {x} stands
+# for the direction in the parts written once per direction. refl_a is
+# spelled out where psi1, psi2 and psi3_x use it.
+_REFL = "<{x}><{x}>true & [*]~<{x}>[{x}]false"
+_UPDATE = "{(p | [a]false,b,true),(true,a,true),([a]false,{x},true)}"
+_OPENING = {
+    "psi1": "(<a><a>true & [*]~<a>[a]false) & p & <b>true & [b]~p",
+    "psi2": "[b]((<a><a>true & [*]~<a>[a]false) & <b>p) & [*](<a>true -> [b][b]<a>true)",
+}
+_PER_DIRECTION = {
+    "psi3_{x}": "[b](<{x}>(~p & (<a><a>true & [*]~<a>[a]false) & <b>p) & [*](<{x}><a>true -> [{x}]<a>true))",
+    "psi4_{x}": "[*](<a>true -> [b][{x}][b]<a>true)",
+    # the marker <{x}><a>true & <b><b>[a]false: "some b-b-successor of a
+    # probed x-successor loses its probe"
+    "propd_{x}": "[b][*]([a]false & <{x}><a>true & <b>(<b>true & [b]<a>true)"
+    " & <*>(<{x}><a>true & <b><b>[a]false) -> [" + _UPDATE + "]<*>(<{x}><a>true & <b><b>[a]false))",
+    "return_{x}": "[b]<*>([a]false & <b>true"
+    " & <{x}>(<a>true & <b>(<b>true & [b]<a>true) & [*](<a>true -> [b][b]<a>true)))",
+}
+_INVERSE = "[b][*]([a]false -> [u][d][a]false & [d][u][a]false & [l][r][a]false & [r][l][a]false)"
 
 
 def refl(agent: str) -> Formula:
     """True exactly where the agent has a successor and every successor is
     bisimilar to the current state: the successor structure survives any
-    attempt to cut some successors loose by an update."""
-    return And(
-        Diamond(agent, Diamond(agent, TOP)),
-        ArbBox(Not(Diamond(agent, Box(agent, BOT)))),
-    )
+    attempt to cut some successors loose by an update. An agent name that
+    a formula cannot contain, such as "a b", raises ParseError."""
+    if not _NAME.fullmatch(agent):
+        raise ParseError(f"bad agent name {agent!r}: use {_NAME.pattern}", _REFL.index("{x}"))
+    return parse_formula(_REFL.replace("{x}", agent))
 
 
-def _tile_atom(t: TileType) -> Atom:
-    return Atom(f"p_{t.name}")
+def _tile_prop(t: TileType) -> str:
+    return f"p_{t.name}"
 
 
-def _side_atom(side: str, color: str) -> Atom:
-    return Atom(f"{side}_{color}")
+def _side_prop(side: str, color: str) -> str:
+    return f"{side}_{color}"
+
+
+def _all(texts) -> str:
+    """The conjunction of formula texts, parsed as `conj` folds their
+    trees: true for none, the one text alone for one."""
+    return " & ".join(f"({t})" for t in texts) or "true"
 
 
 @dataclass(frozen=True)
@@ -263,139 +276,35 @@ class TilingEncoding:
 
 
 def encode_parts(inst: TileInstance) -> TilingEncoding:
-    p = Atom(ORIGIN_PROP)
-    refl_a = refl(PROBE)
-    parts: dict[str, Formula] = {}  # the conjuncts, in order
-    updates: dict[str, Update] = {}
-
-    parts["psi1"] = conj([refl_a, p, Diamond(HUB, TOP), Box(HUB, Not(p))])
-    parts["psi2"] = And(
-        Box(HUB, And(refl_a, Diamond(HUB, p))),
-        ArbBox(Implies(_DIA_A_TOP, Box(HUB, Box(HUB, _DIA_A_TOP)))),
-    )
-
+    texts = dict(_OPENING)  # the conjuncts, in order
     for x in DIRECTIONS:
-        parts[f"psi3_{x}"] = Box(
-            HUB,
-            And(
-                Diamond(x, conj([Not(p), refl_a, Diamond(HUB, p)])),
-                ArbBox(Implies(Diamond(x, _DIA_A_TOP), Box(x, _DIA_A_TOP))),
-            ),
-        )
-        parts[f"psi4_{x}"] = ArbBox(Implies(_DIA_A_TOP, Box(HUB, Box(x, Box(HUB, _DIA_A_TOP)))))
-        updates[x] = Update((
-            Clause(Or(p, _BOX_A_BOT), HUB, TOP),
-            Clause(TOP, PROBE, TOP),
-            Clause(_BOX_A_BOT, x, TOP),
-        ))
-        # "some b-b-successor of a probed x-successor loses its probe"
-        marker = And(
-            Diamond(x, _DIA_A_TOP),
-            Diamond(HUB, Diamond(HUB, _BOX_A_BOT)),
-        )
-        parts[f"propd_{x}"] = Box(
-            HUB,
-            ArbBox(
-                Implies(
-                    conj([
-                        _BOX_A_BOT,
-                        Diamond(x, _DIA_A_TOP),
-                        Diamond(HUB, And(Diamond(HUB, TOP), Box(HUB, _DIA_A_TOP))),
-                        ArbDiamond(marker),
-                    ]),
-                    UpdateBox(updates[x], ArbDiamond(marker)),
-                )
-            ),
-        )
-        parts[f"return_{x}"] = Box(
-            HUB,
-            ArbDiamond(
-                conj([
-                    _BOX_A_BOT,
-                    Diamond(HUB, TOP),
-                    Diamond(
-                        x,
-                        conj([
-                            _DIA_A_TOP,
-                            Diamond(HUB, And(Diamond(HUB, TOP), Box(HUB, _DIA_A_TOP))),
-                            ArbBox(Implies(_DIA_A_TOP, Box(HUB, Box(HUB, _DIA_A_TOP)))),
-                        ]),
-                    ),
-                ])
-            ),
-        )
+        for name, text in _PER_DIRECTION.items():
+            texts[name.replace("{x}", x)] = text.replace("{x}", x)
+    tiles = [_tile_prop(t) for t in inst.types]
+    exclusions = [f"~({s} & {t})" for s, t in combinations(tiles, 2)]
+    commute = [f"<{x}><{y}>[a]false -> [{y}][{x}][a]false" for x, y in COMMUTE_PAIRS]
 
-    parts["inverse"] = Box(
-        HUB,
-        ArbBox(
-            Implies(
-                _BOX_A_BOT,
-                conj([
-                    Box(UP, Box(DOWN, _BOX_A_BOT)),
-                    Box(DOWN, Box(UP, _BOX_A_BOT)),
-                    Box(LEFT, Box(RIGHT, _BOX_A_BOT)),
-                    Box(RIGHT, Box(LEFT, _BOX_A_BOT)),
-                ]),
-            )
-        ),
-    )
-    parts["commute"] = Box(
-        HUB,
-        ArbBox(
-            conj([
-                Implies(Diamond(x, Diamond(y, _BOX_A_BOT)), Box(y, Box(x, _BOX_A_BOT)))
-                for x, y in COMMUTE_PAIRS
-            ])
-        ),
-    )
+    def one_color(side: str) -> str:
+        props = [_side_prop(side, c) for c in inst.colors]
+        return "[b](" + _all(f"{p} -> " + _all(f"~{q}" for q in props if q != p) for p in props) + ")"
 
-    tile_atoms = [_tile_atom(t) for t in inst.types]
-    parts["one_tile"] = Box(
-        HUB,
-        conj(
-            [disj(tile_atoms)]
-            + [
-                Not(And(tile_atoms[i], tile_atoms[j]))
-                for i in range(len(tile_atoms))
-                for j in range(i + 1, len(tile_atoms))
-            ]
-        ),
-    )
-    parts["one_color"] = conj([
-        Box(
-            HUB,
-            conj([
-                Implies(
-                    _side_atom(side, c),
-                    conj([Not(_side_atom(side, d)) for d in inst.colors if d != c]),
-                )
-                for c in inst.colors
-            ]),
-        )
-        for side in SIDES
-    ])
-    parts["tile_colors"] = Box(
-        HUB,
-        conj([
-            Implies(
-                _tile_atom(t),
-                conj([_side_atom(side, t.side(side)) for side in SIDES]),
-            )
-            for t in inst.types
-        ]),
-    )
-    parts["tile_match"] = Box(
-        HUB,
-        conj([
-            And(
-                Implies(_side_atom("N", c), Box(UP, _side_atom("S", c))),
-                Implies(_side_atom("W", c), Box(LEFT, _side_atom("E", c))),
-            )
-            for c in inst.colors
-        ]),
-    )
+    def sides(t: TileType) -> str:
+        return f"{_tile_prop(t)} -> " + _all(_side_prop(side, t.side(side)) for side in SIDES)
 
-    return TilingEncoding({"refl_a": refl_a, **parts}, updates, conj(parts.values()))
+    def match(c: str) -> str:
+        north, south, east, west = (_side_prop(side, c) for side in SIDES)
+        return f"({north} -> [u]{south}) & ({west} -> [l]{east})"
+
+    texts["inverse"] = _INVERSE
+    texts["commute"] = "[b][*](" + _all(commute) + ")"
+    texts["one_tile"] = "[b](" + _all([" | ".join(tiles), *exclusions]) + ")"
+    texts["one_color"] = _all(one_color(side) for side in SIDES)
+    texts["tile_colors"] = "[b](" + _all(sides(t) for t in inst.types) + ")"
+    texts["tile_match"] = "[b](" + _all(match(c) for c in inst.colors) + ")"
+
+    parts = {name: parse_formula(text) for name, text in texts.items()}
+    updates = {x: parse_update(_UPDATE.replace("{x}", x)) for x in DIRECTIONS}
+    return TilingEncoding({"refl_a": refl(PROBE), **parts}, updates, conj(parts.values()))
 
 
 def encode(inst: TileInstance) -> Formula:
@@ -462,10 +371,10 @@ def build_torus_model(inst: TileInstance, tiling: PeriodicTiling, cell_props: bo
 
     valuation = {ORIGIN_PROP: {"s0"}}
     for t in inst.types:
-        valuation[f"p_{t.name}"] = {cell[pos] for pos, placed in tiling.grid.items() if placed == t}
+        valuation[_tile_prop(t)] = {cell[pos] for pos, placed in tiling.grid.items() if placed == t}
     for side in SIDES:
         for c in inst.colors:
-            valuation[f"{side}_{c}"] = {
+            valuation[_side_prop(side, c)] = {
                 cell[pos] for pos, placed in tiling.grid.items() if placed.side(side) == c
             }
     if cell_props:

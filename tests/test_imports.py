@@ -1,8 +1,10 @@
 """Every module of the package, the tests and the scripts uses each name it
 imports. The package's `__init__` is left out: its imports are its exports.
-Every module-level private name of the package is used somewhere in it."""
+Every module-level private name of the package is used somewhere in it.
+Every module parses as the oldest Python that pyproject.toml accepts."""
 
 import ast
+import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -80,3 +82,12 @@ def test_no_private_name_of_the_package_goes_unused():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 1
     assert unreferenced_private_names(sources) == []
+
+
+def test_every_module_parses_as_the_oldest_python_declared():
+    declared = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (TESTS.parent / "pyproject.toml").read_text())
+    oldest = tuple(map(int, declared.groups()))
+    modules = sorted((TESTS.parent / "src").rglob("*.py")) + sorted(SCRIPTS.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len({p.parent for p in modules}) == 3
+    for p in modules:
+        ast.parse(p.read_text(), filename=str(p), feature_version=oldest)

@@ -10,6 +10,7 @@ from aaul import (
     BudgetExceededError,
     Implies,
     ModelFormatError,
+    ParseError,
     PeriodicTiling,
     TileInstance,
     TileType,
@@ -25,8 +26,10 @@ from aaul import (
     parse_formula,
     parse_tiles,
     print_formula,
+    print_update,
     refl,
     satisfies,
+    signature,
 )
 from aaul.syntax import ArbDiamond, subformulas
 from aaul.tiling import COMMUTE_PAIRS, DIRECTIONS
@@ -262,7 +265,7 @@ def test_encoder_conjunct_count_and_flatten():
     ]
     # refl_a is the probe's reflexivity formula, and psi1 opens with it
     assert named["refl_a"] == refl("a")
-    assert flatten_conj(named["psi1"])[0] is named["refl_a"]
+    assert flatten_conj(named["psi1"])[0] == named["refl_a"]
 
 
 def test_encoder_round_trips():
@@ -315,6 +318,69 @@ def test_encoder_structure_spot_checks():
     assert len(pieces) == 2
     assert print_formula(pieces[0]) == "p_A | p_B"
     assert print_formula(pieces[1]) == "~(p_A & p_B)"
+
+
+# Every named part and update of the alternating instance, as printed.
+ALTERNATING_TEXT = {
+    "refl_a": "<a><a>true & [*]~<a>[a]false",
+    "psi1": "(<a><a>true & [*]~<a>[a]false) & p & <b>true & [b]~p",
+    "psi2": "[b]((<a><a>true & [*]~<a>[a]false) & <b>p) & [*](<a>true -> [b][b]<a>true)",
+    "psi3_u": "[b](<u>(~p & (<a><a>true & [*]~<a>[a]false) & <b>p) & [*](<u><a>true -> [u]<a>true))",
+    "psi4_u": "[*](<a>true -> [b][u][b]<a>true)",
+    "propd_u": "[b][*]([a]false & <u><a>true & <b>(<b>true & [b]<a>true) & <*>(<u><a>true & <b><b>[a]false)"
+    " -> [{(p | [a]false,b,true),(true,a,true),([a]false,u,true)}]<*>(<u><a>true & <b><b>[a]false))",
+    "return_u": "[b]<*>([a]false & <b>true & <u>(<a>true & <b>(<b>true & [b]<a>true) & [*](<a>true -> [b][b]<a>true)))",
+    "psi3_d": "[b](<d>(~p & (<a><a>true & [*]~<a>[a]false) & <b>p) & [*](<d><a>true -> [d]<a>true))",
+    "psi4_d": "[*](<a>true -> [b][d][b]<a>true)",
+    "propd_d": "[b][*]([a]false & <d><a>true & <b>(<b>true & [b]<a>true) & <*>(<d><a>true & <b><b>[a]false)"
+    " -> [{(p | [a]false,b,true),(true,a,true),([a]false,d,true)}]<*>(<d><a>true & <b><b>[a]false))",
+    "return_d": "[b]<*>([a]false & <b>true & <d>(<a>true & <b>(<b>true & [b]<a>true) & [*](<a>true -> [b][b]<a>true)))",
+    "psi3_l": "[b](<l>(~p & (<a><a>true & [*]~<a>[a]false) & <b>p) & [*](<l><a>true -> [l]<a>true))",
+    "psi4_l": "[*](<a>true -> [b][l][b]<a>true)",
+    "propd_l": "[b][*]([a]false & <l><a>true & <b>(<b>true & [b]<a>true) & <*>(<l><a>true & <b><b>[a]false)"
+    " -> [{(p | [a]false,b,true),(true,a,true),([a]false,l,true)}]<*>(<l><a>true & <b><b>[a]false))",
+    "return_l": "[b]<*>([a]false & <b>true & <l>(<a>true & <b>(<b>true & [b]<a>true) & [*](<a>true -> [b][b]<a>true)))",
+    "psi3_r": "[b](<r>(~p & (<a><a>true & [*]~<a>[a]false) & <b>p) & [*](<r><a>true -> [r]<a>true))",
+    "psi4_r": "[*](<a>true -> [b][r][b]<a>true)",
+    "propd_r": "[b][*]([a]false & <r><a>true & <b>(<b>true & [b]<a>true) & <*>(<r><a>true & <b><b>[a]false)"
+    " -> [{(p | [a]false,b,true),(true,a,true),([a]false,r,true)}]<*>(<r><a>true & <b><b>[a]false))",
+    "return_r": "[b]<*>([a]false & <b>true & <r>(<a>true & <b>(<b>true & [b]<a>true) & [*](<a>true -> [b][b]<a>true)))",
+    "inverse": "[b][*]([a]false -> [u][d][a]false & [d][u][a]false & [l][r][a]false & [r][l][a]false)",
+    "commute": "[b][*]((<u><l>[a]false -> [l][u][a]false) & (<u><r>[a]false -> [r][u][a]false)"
+    " & (<d><l>[a]false -> [l][d][a]false) & (<d><r>[a]false -> [r][d][a]false)"
+    " & (<l><u>[a]false -> [u][l][a]false) & (<l><d>[a]false -> [d][l][a]false)"
+    " & (<r><u>[a]false -> [u][r][a]false) & (<r><d>[a]false -> [d][r][a]false))",
+    "one_tile": "[b]((p_A | p_B) & ~(p_A & p_B))",
+    "one_color": "[b]((N_g -> ~N_b & ~N_w) & (N_b -> ~N_g & ~N_w) & (N_w -> ~N_g & ~N_b))"
+    " & [b]((S_g -> ~S_b & ~S_w) & (S_b -> ~S_g & ~S_w) & (S_w -> ~S_g & ~S_b))"
+    " & [b]((E_g -> ~E_b & ~E_w) & (E_b -> ~E_g & ~E_w) & (E_w -> ~E_g & ~E_b))"
+    " & [b]((W_g -> ~W_b & ~W_w) & (W_b -> ~W_g & ~W_w) & (W_w -> ~W_g & ~W_b))",
+    "tile_colors": "[b]((p_A -> N_g & S_g & E_b & W_w) & (p_B -> N_g & S_g & E_w & W_b))",
+    "tile_match": "[b](((N_g -> [u]S_g) & (W_g -> [l]E_g)) & ((N_b -> [u]S_b) & (W_b -> [l]E_b))"
+    " & (N_w -> [u]S_w) & (W_w -> [l]E_w))",
+}
+UPDATE_TEXT = {x: f"{{(p | [a]false,b,true),(true,a,true),([a]false,{x},true)}}" for x in DIRECTIONS}
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        (ALTERNATING, ALTERNATING_TEXT),
+        # one tile, one color: one_tile has no exclusion, and each one_color
+        # implication excludes no other color
+        (SELF_TILING, {
+            **ALTERNATING_TEXT,
+            "one_tile": "[b]p_T",
+            "one_color": "[b](N_c -> true) & [b](S_c -> true) & [b](E_c -> true) & [b](W_c -> true)",
+            "tile_colors": "[b](p_T -> N_c & S_c & E_c & W_c)",
+            "tile_match": "[b]((N_c -> [u]S_c) & (W_c -> [l]E_c))",
+        }),
+    ],
+)
+def test_encoder_prints_pinned_text(text, expected):
+    parts = encode_parts(parse_tiles(text))
+    assert {name: print_formula(f) for name, f in parts.named().items()} == expected
+    assert {x: print_update(u) for x, u in parts.updates.items()} == UPDATE_TEXT
 
 
 def test_encoder_deterministic():
@@ -492,3 +558,19 @@ def test_all_named_parts_on_self_tiling_torus():
 def test_refl_other_agent():
     f = refl("b")
     assert print_formula(f) == "<b><b>true & [*]~<b>[b]false"
+
+
+@pytest.mark.parametrize("bad", ["a b", "x!", "", " a", "{(true,a,true)}"])
+def test_refl_refuses_a_name_a_formula_cannot_contain(bad):
+    with pytest.raises(ParseError) as exc:
+        refl(bad)
+    assert str(exc.value) == f"bad agent name {bad!r}: use [A-Za-z0-9_]+ (at position 1)"
+
+
+@pytest.mark.parametrize("text", [ALTERNATING, SELF_TILING, "colors: x y z\ntile T N=x E=x S=y W=y\n"])
+def test_encoding_speaks_the_torus_vocabulary(text):
+    # the formula mentions exactly the props and agents of the torus model,
+    # colors no tile uses included
+    inst = parse_tiles(text)
+    m = build_torus_model(inst, PeriodicTiling(1, {(0, 0): inst.types[0]}))
+    assert signature(encode(inst)) == (frozenset(m.props), frozenset(m.agents))
