@@ -80,10 +80,9 @@ class Budget:
     """Caps on the work one check may do. Exceeding a cap raises, never approximates."""
 
     max_arrow_blocks: int = 20
-    max_recursion_depth: int = 64
 
     def __post_init__(self):
-        if self.max_arrow_blocks < 1 or self.max_recursion_depth < 1:
+        if self.max_arrow_blocks < 1:
             raise ValueError("budget caps must be positive")
 
 
@@ -141,12 +140,12 @@ def _read_agents(body: Formula, separated: bool) -> frozenset[str] | None:
 
 def _distinct_unions(m: KripkeModel, checked, body: Formula, read: dict):
     """The items of `_unions(m, blocks)` whose arrows for the agents body
-    reads differ from those of every earlier item. checked() gives m's
-    partition and arrow blocks past the cap (`_checked_blocks`), asked for
-    once the walk goes past the empty union. After the second union, m is
-    judged separated when that partition took no refinement round, and
-    `_read_agents(body, separated)` is kept in `read` under (id(body),
-    separated): one body can be met at models of both kinds.
+    reads differ from those of every earlier item. checked(), cached,
+    gives m's partition and arrow blocks past the cap (`_checked_blocks`),
+    asked for once the walk goes past the empty union. After the second
+    union, m is judged separated when that partition took no refinement
+    round, and `_read_agents(body, separated)` is kept in `read` under
+    (id(body), separated): one body can be met at models of both kinds.
 
     Soundness, for a [*]/<*> body g. Every union has the root's states and
     valuation, so a quantifier-free g's truth set in it depends only on the
@@ -177,22 +176,21 @@ def _distinct_unions(m: KripkeModel, checked, body: Formula, read: dict):
     depends only on its arrows for the agents the nested body reads.
     (3) Two unions with equal read arrows have the same read blocks in the
     same relative order, so their nested walks evaluate the same distinct
-    read sets in the same order, with the same recursion refusals, early
-    exits and witnesses. The empty union, evaluated before the read agents
-    are asked for, is never skipped. A valuation-discrete m is the special
-    case where P is discrete.
+    read sets in the same order, with the same refusals, early exits and
+    witnesses. The empty union, evaluated before the read agents are asked
+    for, is never skipped. A valuation-discrete m is the special case where
+    P is discrete.
 
     Every union is still drawn from `_unions`, in its order; only the
     body's evaluation is skipped.
     """
-    part = []  # m's partition, once the walk has asked for the blocks
-    unions = _unions(m, lambda: part.append(checked()) or part[0][1])
+    unions = _unions(m, lambda: checked()[1])
     first = next(unions)
     yield first
     second = next(unions, None)  # calls checked(), which raises over the cap
     if second is None:
         return
-    key = (id(body), part[0][0].rounds == 0)
+    key = (id(body), checked()[0].rounds == 0)
     if key not in read:
         read[key] = _read_agents(body, key[1])
     agents = m.agents if read[key] is None else tuple(a for a in m.agents if a in read[key])
@@ -271,16 +269,18 @@ class _Evaluator:
     """Truth-set evaluation of formulas as parsed, one `truth_set` frame per
     node, dispatched on the node's type.
 
-    Every node kind has its own branch, so a formula costs one recursion
-    level per node as written: <a>g takes the pre-image of g's truth set,
-    -> and <-> are set algebra, and a right-nested & or | chain is one
-    n-ary node whose operands sit one level below it. Every operand is
-    evaluated, in order, with no short-circuit. <U>g is [U]g, since an
-    update is deterministic. <*>g walks the unions in the order [*] does,
-    behind the same cap, and stops once g holds somewhere on every state,
-    exactly where ~[*]~g would stop. Both evaluate g only on the unions
-    `_distinct_unions` keeps, with g's read agents found once per node
-    and kind of model.
+    Every node kind has its own branch, so a formula costs one stack frame
+    per level of nesting as written: <a>g takes the pre-image of g's truth
+    set, -> and <-> are set algebra, and a right-nested & or | chain is one
+    n-ary node whose operands sit one frame below it. Nesting costs linear
+    time, so no budget counts it; a formula nested deeper than the
+    interpreter's stack is refused at the kernel's entries (`_guarded`),
+    with kind "recursion". Every operand is evaluated, in order, with no
+    short-circuit. <U>g is [U]g, since an update is deterministic. <*>g
+    walks the unions in the order [*] does, behind the same cap, and stops
+    once g holds somewhere on every state, exactly where ~[*]~g would stop.
+    Both evaluate g only on the unions `_distinct_unions` keeps, with g's
+    read agents found once per node and kind of model.
 
     One evaluator serves one `core_checker`. Every model it sees is the root
     or a union or update derived from it, with the root's states, valuation
@@ -301,12 +301,7 @@ class _Evaluator:
         self.read: dict = {}
         self.model = self.memo = self.states = None
 
-    def truth_set(self, m: KripkeModel, f: Formula, depth: int) -> frozenset[str]:
-        if depth > self.budget.max_recursion_depth:
-            raise BudgetExceededError(
-                f"recursion deeper than {self.budget.max_recursion_depth}",
-                kind="recursion",
-            )
+    def truth_set(self, m: KripkeModel, f: Formula) -> frozenset[str]:
         kind = type(f)
         if kind is Atom:
             return m.valuation.get(f.name, frozenset())  # undeclared propositions are false everywhere
@@ -322,35 +317,35 @@ class _Evaluator:
         if out is not None:
             return out
         if kind is Not:
-            out = states - self.truth_set(m, f.body, depth + 1)
+            out = states - self.truth_set(m, f.body)
         elif kind is And or kind is Or:
-            # a right-nested chain is one n-ary node: each operand at depth + 1
+            # a right-nested chain is one n-ary node, each operand one frame below it
             parts = self.chains.get(id(f)) or self.chains.setdefault(id(f), flatten_conj(f, kind))
-            sets = [self.truth_set(m, g, depth + 1) for g in parts]
+            sets = [self.truth_set(m, g) for g in parts]
             out = frozenset.intersection(*sets) if kind is And else frozenset.union(*sets)
         elif kind is Implies or kind is Iff:
-            left = self.truth_set(m, f.left, depth + 1)
-            right = self.truth_set(m, f.right, depth + 1)
+            left = self.truth_set(m, f.left)
+            right = self.truth_set(m, f.right)
             out = (states - left) | right if kind is Implies else states - (left ^ right)
         elif kind is Box:
-            body = self.truth_set(m, f.body, depth + 1)
+            body = self.truth_set(m, f.body)
             out = states - {s for s, t in m.arrow_set(f.agent) if t not in body}
         elif kind is Diamond:
-            body = self.truth_set(m, f.body, depth + 1)
+            body = self.truth_set(m, f.body)
             out = frozenset(s for s, t in m.arrow_set(f.agent) if t in body)
         elif kind is UpdateBox or kind is UpdateDiamond:
-            updated = apply_update(m, f.update, lambda g: self.truth_set(m, g, depth + 1))
-            out = self.truth_set(updated, f.body, depth + 1)
+            updated = apply_update(m, f.update, lambda g: self.truth_set(m, g))
+            out = self.truth_set(updated, f.body)
         elif kind is ArbBox or kind is ArbDiamond:
             # [*] intersects the unions' sets and stops once none is left;
             # <*> unites them and stops once every state is in
             box = kind is ArbBox
             out = states if box else frozenset()
             if not (box and type(f.body) is Top):
-                checked = lambda: _checked_blocks(m, self.budget)
+                checked = functools.cache(lambda: _checked_blocks(m, self.budget))
                 unions = _distinct_unions(m, checked, f.body, self.read)
                 for _, sub in unions:
-                    got = self.truth_set(sub, f.body, depth + 1)
+                    got = self.truth_set(sub, f.body)
                     out = out & got if box else out | got
                     if len(out) == (0 if box else len(states)):
                         break
@@ -362,8 +357,9 @@ class _Evaluator:
 
 def _guarded(call, *args):
     """call(*args), with a stack overflow turned into a budget refusal.
-    The evaluator recurses; the overflow is caught here, at the kernel's
-    entries, so evaluation pays nothing per node."""
+    The evaluator and the oracle recurse; the overflow is caught here, at
+    their entries, so evaluation pays nothing per node. It is the only
+    limit on nesting."""
     try:
         return call(*args)
     except RecursionError:
@@ -377,7 +373,7 @@ def core_checker(budget: Budget = DEFAULT_BUDGET):
     one check must share states, valuation and point with the first, as
     the unions and updates of one model do."""
     ev = _Evaluator(budget)
-    return lambda m, f: _guarded(ev.truth_set, m, f, 0)
+    return lambda m, f: _guarded(ev.truth_set, m, f)
 
 
 def truth_set(m: KripkeModel, f: Formula, budget: Budget = DEFAULT_BUDGET) -> frozenset[str]:
@@ -437,12 +433,7 @@ class _Oracle:
     def __init__(self, budget: Budget):
         self.budget = budget
 
-    def holds(self, m: KripkeModel, w: str, f: Formula, depth: int) -> bool:
-        if depth > self.budget.max_recursion_depth:
-            raise BudgetExceededError(
-                f"recursion deeper than {self.budget.max_recursion_depth}",
-                kind="recursion",
-            )
+    def holds(self, m: KripkeModel, w: str, f: Formula) -> bool:
         if isinstance(f, Atom):
             return w in m.valuation.get(f.name, frozenset())
         if isinstance(f, Top):
@@ -450,10 +441,10 @@ class _Oracle:
         if isinstance(f, Bot):
             return False
         if isinstance(f, Not):
-            return not self.holds(m, w, f.body, depth + 1)
+            return not self.holds(m, w, f.body)
         if isinstance(f, (And, Or, Implies, Iff)):
-            left = self.holds(m, w, f.left, depth + 1)
-            right = self.holds(m, w, f.right, depth + 1)
+            left = self.holds(m, w, f.left)
+            right = self.holds(m, w, f.right)
             if isinstance(f, And):
                 return left and right
             if isinstance(f, Or):
@@ -462,29 +453,29 @@ class _Oracle:
                 return (not left) or right
             return left == right
         if isinstance(f, Box):
-            results = [self.holds(m, v, f.body, depth + 1) for v in m.successors(f.agent, w)]
+            results = [self.holds(m, v, f.body) for v in m.successors(f.agent, w)]
             return all(results)
         if isinstance(f, Diamond):
-            results = [self.holds(m, v, f.body, depth + 1) for v in m.successors(f.agent, w)]
+            results = [self.holds(m, v, f.body) for v in m.successors(f.agent, w)]
             return any(results)
         if isinstance(f, (UpdateBox, UpdateDiamond)):
             # applying an update is deterministic, so [U] and <U> coincide
-            updated = apply_update(m, f.update, self._truth(m, depth + 1))
-            return self.holds(updated, w, f.body, depth + 1)
+            updated = apply_update(m, f.update, self._truth(m))
+            return self.holds(updated, w, f.body)
         if isinstance(f, (ArbBox, ArbDiamond)):
             results = []
-            for updated in self._all_updated_models(m, depth):
-                results.append(self.holds(updated, w, f.body, depth + 1))
+            for updated in self._all_updated_models(m):
+                results.append(self.holds(updated, w, f.body))
             if isinstance(f, ArbBox):
                 return all(results)
             return any(results)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _truth(self, m: KripkeModel, depth: int):
+    def _truth(self, m: KripkeModel):
         """g's truth set in m, judged state by state."""
-        return lambda g: frozenset(w for w in m.states if self.holds(m, w, g, depth))
+        return lambda g: frozenset(w for w in m.states if self.holds(m, w, g))
 
-    def _all_updated_models(self, m: KripkeModel, depth: int):
+    def _all_updated_models(self, m: KripkeModel):
         part, blocks = _checked_blocks(m, self.budget)
         chars = characteristic_formulas(m, part)
         clause_text = [
@@ -498,9 +489,9 @@ class _Oracle:
             else:
                 text = "{(false," + fallback_agent + ",false)}"
             update = parse_update(text)
-            yield apply_update(m, update, self._truth(m, depth + 1))
+            yield apply_update(m, update, self._truth(m))
 
 
 def brute_force_arb_oracle(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFAULT_BUDGET) -> bool:
     m.state_index(state)
-    return _Oracle(budget).holds(m, state, f, 0)
+    return _guarded(_Oracle(budget).holds, m, state, f)

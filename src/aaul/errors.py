@@ -30,7 +30,11 @@ class UnknownAgentError(AaulError):
 
 
 class BudgetExceededError(AaulError):
-    """A configured resource cap was hit. Never silently converted to a truth value."""
+    """A check was refused rather than answered. Never silently converted
+    to a truth value. `kind` says why: "arrow_blocks" when a quantified
+    model has more arrow blocks than `Budget.max_arrow_blocks`, and
+    "recursion" when a formula is nested deeper than the interpreter's
+    stack allows."""
 
     def __init__(self, message: str, kind: str):
         super().__init__(message)

@@ -337,11 +337,10 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
     - Conjuncts. A candidate satisfies f exactly when it satisfies each
       top-level conjunct. They are checked one at a time, cheap ones first,
       and the first false one rejects the candidate. A conjunct alone is
-      evaluated as within f, one level less deep, on one evaluator per
-      candidate (the conjuncts share only the `true`/`false` singletons,
-      which skip the memo). So every evaluation the search makes on a
-      candidate is one the reference makes on it too, and refuses only if
-      the reference's does.
+      evaluated as within f, on one evaluator per candidate (the conjuncts
+      share only the `true`/`false` singletons, which skip the memo). So
+      every evaluation the search makes on a candidate is one the
+      reference makes on it too, and refuses only if the reference's does.
     - Types. Fix agents A and atoms P. A state's type_0 is the set of P's
       atoms true at it, and its type_{k+1} is its type_0 with, per agent of
       A, the set of its successors' type_k. States of any two models have
@@ -425,15 +424,15 @@ def _sat_search_n(conjuncts, n: int, agents, props, budget, shared=None) -> Krip
       zero arrow blocks, so no cap can refuse (the early exit after the
       empty union only skips that zero-block `checked()`). Every model
       derived there has no arrows, so it shares the probe's one fresh
-      memo, and each probe starts at the same stack depth. So memo hits,
-      the recursion refusal and the stack-depth refusal are the same for
-      every valuation: a probe refuses for one valuation exactly when it
-      refuses for all. A decided verdict is kept, so a later valuation of
-      any size with the same `atoms0` would make the same calls, in the
-      same order, find each decided one kept, see each refused one refuse
-      again and reach the same kept plans, a refused conjunct left among
-      them for the candidates, or the same skip: the outcome is kept under
-      `atoms0` (`arrowless`). (2) (a) drops only conjuncts of local depth
+      memo, and each probe starts at the same stack depth. So memo hits
+      and the stack-depth refusal are the same for every valuation: a
+      probe refuses for one valuation exactly when it refuses for all. A
+      decided verdict is kept, so a later valuation of any size with the
+      same `atoms0` would make the same calls, in the same order, find
+      each decided one kept, see each refused one refuse again and reach
+      the same kept plans, a refused conjunct left among them for the
+      candidates, or the same skip: the outcome is kept under `atoms0`
+      (`arrowless`). (2) (a) drops only conjuncts of local depth
       0 and top-level [*]g/<*>g, so the conjuncts (b) judges, `shallow`,
       are the same in every valuation; `shown` is the union of their atom
       masks, and `shown0` that of their top atoms. A row's set of type_0 over a

@@ -165,6 +165,28 @@ def random_formula(rng: random.Random, depth: int, props=PROPS, agents=AGENTS) -
     return random_quantifier_free(rng, depth, props, agents)
 
 
+def deep_formula(rng: random.Random, levels: int, props=PROPS, agents=AGENTS) -> Formula:
+    """A formula nested `levels` levels deep along one spine, built up
+    from a leaf: each level puts the spine under ~, a modality, an update
+    (as its body) or on the left of a binary connective beside a leaf, so
+    that no level joins a flat chain. Update clauses hold leaves only, so
+    naive_eval judges each level at most once per state on a model where
+    each state has at most one successor per agent."""
+    f = random_leaf(rng, props)
+    for _ in range(levels - 1):
+        pick = rng.randrange(4)
+        if pick == 0:
+            f = Not(f)
+        elif pick == 1:
+            f = rng.choice((Box, Diamond))(rng.choice(agents), f)
+        elif pick == 2:
+            u = Update((Clause(random_leaf(rng, props), rng.choice(agents), random_leaf(rng, props)),))
+            f = rng.choice((UpdateBox, UpdateDiamond))(u, f)
+        else:
+            f = rng.choice((And, Or, Implies, Iff))(f, random_leaf(rng, props))
+    return f
+
+
 _WEIRD_NAMES = ("p", "q", "p1", "x_y", "A", "state0", "z")
 
 

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import random
+import re
+import threading
 
 import pytest
 
@@ -36,6 +39,7 @@ from aaul import (
     load_model,
     parse_formula,
     parse_tiles,
+    print_formula,
     print_update,
     satisfies,
     truth_set,
@@ -45,6 +49,7 @@ from aaul import (
 from aaul import checker
 from aaul.checker import _unions, core_checker
 from helpers import (
+    deep_formula,
     naive_apply,
     naive_arb_models,
     naive_eval,
@@ -58,11 +63,12 @@ from helpers import (
 
 def test_budget_defaults_and_validation():
     assert DEFAULT_BUDGET.max_arrow_blocks == 20
-    assert DEFAULT_BUDGET.max_recursion_depth == 64
+    assert [field.name for field in dataclasses.fields(Budget)] == ["max_arrow_blocks"]
     with pytest.raises(ValueError):
         Budget(max_arrow_blocks=0)
-    with pytest.raises(ValueError):
-        Budget(max_recursion_depth=0)
+    # nesting has no cap of its own: the stack guard is the one depth limit
+    with pytest.raises(TypeError):
+        Budget(20, 64)
 
 
 def test_quantifier_free_fragment_matches_naive_semantics():
@@ -142,16 +148,6 @@ def test_over_cap_model_decided_at_the_empty_union(monkeypatch):
     with pytest.raises(BudgetExceededError) as exc:
         satisfies(m, "s0", parse_formula("[*]p"), tight)
     assert exc.value.kind == "arrow_blocks" and len(partitions) == 1
-
-
-def test_recursion_budget():
-    m = load_model("states: w\nagent a: w->w\n")
-    f = parse_formula("p")
-    for _ in range(30):
-        f = Not(f)
-    with pytest.raises(BudgetExceededError) as exc:
-        satisfies(m, "w", f, Budget(max_recursion_depth=5))
-    assert exc.value.kind == "recursion"
 
 
 def test_results_are_reproducible():
@@ -266,72 +262,88 @@ def test_quantifiers_allowed_inside_user_update_clauses():
     assert brute_force_arb_oracle(m, "w", f)
 
 
-def _nested_nots(n, leaf=Atom("p")):
+def _nested_diamonds(n, leaf=Atom("p")):
     f = leaf
-    for _ in range(n):
-        f = Not(f)
-    return f
-
-
-def _nested_diamonds(n):
-    f = Atom("p")
     for _ in range(n):
         f = Diamond("a", f)
     return f
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda m, f, b: truth_set(m, f, b),
-        lambda m, f, b: satisfies(m, "w", f, b),
-        lambda m, f, b: witness_update(m, "w", ArbDiamond(f), b),
-    ],
-    ids=["truth_set", "satisfies", "witness_update"],
-)
+def test_deep_nesting_decides():
+    # nesting costs one evaluator frame per level and no budget counts it:
+    # 600 nested <a>, well within the interpreter's stack, decide
+    m = load_model("states: w\nagent a: w->w\n")
+    assert satisfies(m, "w", _nested_diamonds(600, TOP))
+    assert not satisfies(m, "w", _nested_diamonds(600))
+
+
+def _functional_model(rng, agents=("a", "b")):
+    """1-3 states, each with at most one successor per agent."""
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+    arrows = {a: {(s, rng.choice(states)) for s in states if rng.random() < 0.7} for a in agents}
+    valuation = {p: {s for s in states if rng.random() < 0.5} for p in ("p", "q")}
+    return KripkeModel(states, agents, ("p", "q"), arrows, valuation, point=states[0])
+
+
+def test_formulas_nested_past_64_levels_match_naive_eval():
+    # nesting is not budgeted: formulas 40 to 100 levels deep, under [*]/<*>
+    # half the time, decide as naive_eval does at every state
+    rng = random.Random(151)
+    deep = 0
+    for _ in range(150):
+        m = _functional_model(rng)
+        levels = rng.randint(40, 100)
+        f = deep_formula(rng, levels)
+        if rng.random() < 0.5:
+            f = rng.choice((ArbBox, ArbDiamond))(f)
+        assert truth_set(m, f) == {s for s in m.states if naive_eval(m, s, f)}, print_formula(f)
+        deep += levels > 66
+    assert deep >= 50
+
+
+DEEP_CALLS = [
+    lambda m, f, b: truth_set(m, f, b),
+    lambda m, f, b: satisfies(m, "w", f, b),
+    lambda m, f, b: witness_update(m, "w", ArbDiamond(f), b),
+    lambda m, f, b: brute_force_arb_oracle(m, "w", f, b),
+]
+DEEP_IDS = ["truth_set", "satisfies", "witness_update", "oracle"]
+
+
+@pytest.mark.parametrize("call", DEEP_CALLS, ids=DEEP_IDS)
 @pytest.mark.parametrize("formula", [lambda: _nested_diamonds(3000)], ids=["evaluator"])
 def test_formula_too_deep_for_the_stack_is_a_budget_refusal(call, formula):
-    # built through the API, so no parser stands in front, and under a
-    # recursion budget past the interpreter's stack: 3000 nested <a>, one
-    # evaluator frame each, overflow it
+    # built through the API, so no parser stands in front: 3000 nested <a>,
+    # one evaluator frame each, overflow the interpreter's stack, and the
+    # default budget has no other limit on nesting
     m = load_model("states: w\nagent a: w->w\n")
     with pytest.raises(BudgetExceededError) as exc:
-        call(m, formula(), Budget(max_recursion_depth=10**6))
+        call(m, formula(), Budget())
     assert exc.value.kind == "recursion"
 
 
-@pytest.mark.parametrize("leaf", [Atom("p"), TOP], ids=["atom", "true"])
-@pytest.mark.parametrize(
-    "wrap, levels",
-    [
-        (lambda g: g, 0),
-        (lambda g: Box("a", g), 1),
-        (lambda g: ArbBox(g), 1),
-        (lambda g: UpdateBox(Update((Clause(g, "a", TOP),)), TOP), 1),
-    ],
-    ids=["bare", "box", "arb", "clause"],
-)
-def test_recursion_budget_counts_leaves(leaf, wrap, levels):
-    # a leaf under k ~ sits at depth k + levels: it decides with exactly
-    # that much budget and is refused with one level less, so leaves are
-    # depth-checked like every other node
-    m = load_model("states: w v\nagent a: w->v v->w\nval p: w\n")
-    for k in range(2, 6):
-        f = wrap(_nested_nots(k, leaf))
-        with pytest.raises(BudgetExceededError) as exc:
-            truth_set(m, f, Budget(max_recursion_depth=k + levels - 1))
-        assert exc.value.kind == "recursion"
-        assert truth_set(m, f, Budget(max_recursion_depth=k + levels)) == truth_set(m, f)
+@pytest.mark.parametrize("call", DEEP_CALLS, ids=DEEP_IDS)
+def test_formula_too_deep_for_the_stack_is_a_budget_refusal_in_a_thread(call):
+    # a worker thread has a stack of its own, and the guard holds there too
+    m = load_model("states: w\nagent a: w->w\n")
+    raised = []
+
+    def run():
+        try:
+            call(m, _nested_diamonds(3000), Budget())
+        except Exception as e:
+            raised.append(e)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert [(type(e), getattr(e, "kind", None)) for e in raised] == [(BudgetExceededError, "recursion")]
 
 
 def test_long_conjunction_is_one_level_deep():
     m = load_model("states: w v\nagent a: w->v\nval p: w v\nval q: w\n")
     assert truth_set(m, parse_formula(" & ".join(["p"] * 70))) == frozenset({"w", "v"})
-    # each conjunct sits one level below the chain; nesting still counts
-    tight = Budget(max_recursion_depth=4)
-    assert satisfies(m, "w", parse_formula("p & q & <a>p & p & q"), tight)
-    with pytest.raises(BudgetExceededError):
-        satisfies(m, "w", parse_formula("p & <a><a><a><a>p"), tight)
 
 
 def _nested_formula(rng, depth, agents="ab", clause_agents="ab", quantified=True):
@@ -377,9 +389,9 @@ def _record(monkeypatch):
             drawn.append(item)
             yield item
 
-    def traced(self, m, g, depth):
+    def traced(self, m, g):
         evaluated.append(g)
-        return evaluate(self, m, g, depth)
+        return evaluate(self, m, g)
 
     monkeypatch.setattr(checker, "_unions", counted)
     monkeypatch.setattr(checker._Evaluator, "truth_set", traced)
@@ -408,7 +420,7 @@ def test_sugared_node_matches_its_definition(twins, monkeypatch):
         u = Update((Clause(_nested_formula(rng, 1), rng.choice("ab"), _nested_formula(rng, 1)),))
         sugared, defined = twins(g, h, u)
         for cap in (1, 2, 4, 8):
-            budget = Budget(max_arrow_blocks=cap, max_recursion_depth=200)
+            budget = Budget(max_arrow_blocks=cap)
             got = _outcome(m, sugared, budget)
             unions = len(drawn)
             assert got == _outcome(m, defined, budget)
@@ -551,11 +563,20 @@ def test_one_check_switches_models():
 
 
 def _answer(call, *args):
-    """call(*args), or the kind and message of the budget refusal it raises."""
+    """call(*args), or the kind and message of the refusal it raises: a
+    budget's, or an undeclared agent's ("agent")."""
     try:
         return call(*args)
     except BudgetExceededError as e:
         return e.kind, str(e)
+    except UnknownAgentError as e:
+        return "agent", str(e)
+
+
+def _undeclared(f, agent):
+    """f with its [agent]/<agent> modalities over the undeclared agent z:
+    a check refuses wherever it reaches one, and nowhere else."""
+    return parse_formula(re.sub(rf"([<\[]){agent}([>\]])", r"\1z\2", print_formula(f)))
 
 
 def test_blocks_are_asked_for_only_past_the_empty_union():
@@ -604,16 +625,16 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
     # agents it reads. Forcing that set to every agent skips nothing: both
     # runs must give the same truth sets, refusals and witnesses, and every
     # answer must match naive_eval. Updates also name an agent the model
-    # does not declare (z). Both runs draw the same unions unless a nested
-    # walk can be skipped: on a separated model (partition = valuation
-    # partition), when f holds a quantifier (nested under the witness's
-    # <*>), the skipping run may draw fewer.
+    # does not declare (z), and a fifth run turns the modalities of the last
+    # agent into z's, refused wherever they are reached. Both runs draw the
+    # same unions unless a nested walk can be skipped: on a separated model
+    # (partition = valuation partition), when f holds a quantifier (nested
+    # under the witness's <*>), the skipping run may draw fewer.
     drawn, calls = _record(monkeypatch)
     skipping = checker._read_agents
-    budgets = [Budget(max_arrow_blocks=cap, max_recursion_depth=200) for cap in (1, 2, 4, 8)]
-    budgets.append(Budget(max_arrow_blocks=8, max_recursion_depth=4))
+    budgets = [Budget(max_arrow_blocks=cap) for cap in (1, 2, 4, 8)]
     rng = random.Random(101)
-    answers = refusals = naive_checked = skipped = 0
+    answers = refusals = undeclared = naive_checked = skipped = 0
     for _ in range(600):
         agents = ("a", "b", "c")[: rng.randint(2, 3)]
         m = random_model(rng, max_states=3, agents=agents, density=0.2)
@@ -628,17 +649,17 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
             ))
             g = rng.choice((Box, Diamond))("a", _nested_formula(rng, 1, "a", named, False))
             f = rng.choice((ArbBox, ArbDiamond))(rng.choice((UpdateBox, UpdateDiamond))(u, g))
-        for budget in budgets:
+        for budget, h in [(budget, f) for budget in budgets] + [(budgets[-1], _undeclared(f, agents[-1]))]:
             runs = []
             for read in (skipping, lambda body, separated: None):
                 monkeypatch.setattr(checker, "_read_agents", read)
-                got = _answer(truth_set, m, f, budget)
-                witness = _answer(witness_update, m, m.point, ArbDiamond(f), budget)
+                got = _answer(truth_set, m, h, budget)
+                witness = _answer(witness_update, m, m.point, ArbDiamond(h), budget)
                 runs.append((got, witness, len(drawn), len(calls)))
                 drawn.clear()
                 calls.clear()
             assert runs[0][:2] == runs[1][:2] and runs[0][3] <= runs[1][3]
-            if coarsest_partition(m).rounds == 0 and not is_quantifier_free(f):
+            if coarsest_partition(m).rounds == 0 and not is_quantifier_free(h):
                 assert runs[0][2] <= runs[1][2]
             else:
                 assert runs[0][2] == runs[1][2]
@@ -646,10 +667,11 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
             got = runs[0][0]
             answers += isinstance(got, frozenset)
             refusals += not isinstance(got, frozenset)
-            if isinstance(got, frozenset) and sum(map(len, m.arrows.values())) <= 5 and budget is budgets[-2]:
+            undeclared += isinstance(got, tuple) and got[0] == "agent"
+            if isinstance(got, frozenset) and sum(map(len, m.arrows.values())) <= 5 and h is f and budget is budgets[-1]:
                 assert got == {s for s in m.states if naive_eval(m, s, f)}
                 naive_checked += 1
-    assert answers >= 1400 and refusals >= 300 and naive_checked >= 300 and skipped >= 120
+    assert answers >= 1400 and refusals >= 300 and undeclared >= 100 and naive_checked >= 300 and skipped >= 120
 
 
 def _discrete_model(rng, agents):
@@ -697,14 +719,14 @@ def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
     # clauses. Two families: valuation-discrete models, and separated ones
     # that are not discrete. Forcing the read set to every agent must give
     # the same truth sets, refusals and witnesses, and the answers must
-    # match naive_eval, which enumerates every range.
+    # match naive_eval, which enumerates every range. A fifth run turns the
+    # modalities of one read agent into those of the undeclared z.
     _, calls = _record(monkeypatch)
     skipping = checker._read_agents
-    budgets = [Budget(max_arrow_blocks=cap, max_recursion_depth=200) for cap in (1, 2, 4, 8)]
-    budgets.append(Budget(max_arrow_blocks=8, max_recursion_depth=4))
+    budgets = [Budget(max_arrow_blocks=cap) for cap in (1, 2, 4, 8)]
     for family, seed in ((_discrete_model, 131), (_separated_model, 137)):
         rng = random.Random(seed)
-        answers = refusals = naive_checked = fired = 0
+        answers = refusals = undeclared = naive_checked = fired = 0
         for _ in range(160):
             agents = ("a", "b", "c")[: rng.randint(2, 3)]
             m = family(rng, agents)
@@ -714,24 +736,25 @@ def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
             read = tuple(rng.sample(agents, rng.randint(1, len(agents) - 1)))
             body = _nested_body(rng, read, read + ("z",))
             f = rng.choice((ArbBox, ArbDiamond))(body)
-            for budget in budgets:
+            for budget, h in [(budget, f) for budget in budgets] + [(budgets[-1], _undeclared(f, read[-1]))]:
                 runs = []
                 for reads in (skipping, lambda body, separated: None):
                     monkeypatch.setattr(checker, "_read_agents", reads)
-                    got = _answer(truth_set, m, f, budget)
-                    witness = _answer(witness_update, m, m.point, ArbDiamond(body), budget)
-                    runs.append((got, witness, len(calls), sum(g is body for g in calls)))
+                    got = _answer(truth_set, m, h, budget)
+                    witness = _answer(witness_update, m, m.point, ArbDiamond(h.body), budget)
+                    runs.append((got, witness, len(calls), sum(g is h.body for g in calls)))
                     calls.clear()
                 assert runs[0][:2] == runs[1][:2] and runs[0][2] <= runs[1][2] and runs[0][3] <= runs[1][3]
                 fired += runs[0][3] < runs[1][3]  # the outer walk skipped a body with a nested quantifier
                 got = runs[0][0]
                 answers += isinstance(got, frozenset)
                 refusals += not isinstance(got, frozenset)
+                undeclared += isinstance(got, tuple) and got[0] == "agent"
                 # for a discrete model the block count is the arrow count
-                if isinstance(got, frozenset) and len(arrow_blocks(m, part)) <= 5 and budget is budgets[-2]:
+                if isinstance(got, frozenset) and len(arrow_blocks(m, part)) <= 5 and h is f and budget is budgets[-1]:
                     assert got == {s for s in m.states if naive_eval(m, s, f)}
                     naive_checked += 1
-        assert answers >= 300 and refusals >= 300 and naive_checked >= 100 and fired >= 200, family
+        assert answers >= 300 and refusals >= 200 and undeclared >= 50 and naive_checked >= 100 and fired >= 200, family
 
 
 # Each read-set rule the skip depends on, on a model where breaking it skips a

@@ -86,8 +86,14 @@ def test_check_deep_formula_is_a_parse_error(model_file):
     assert code == 2 and err.startswith("error:") and "nested too deeply" in err
 
 
+def test_check_deep_formula_decides(model_file):
+    # 400 nested <a> cost 400 evaluator frames, well within the stack
+    code, out, err = invoke(["check", model_file, "<a>" * 400 + "true"])
+    assert (code, out, err) == (0, "true\n", "")
+
+
 def test_check_long_conjunction(model_file):
-    # a flat conjunction is one level of the recursion budget, however long
+    # a flat conjunction is one node, one frame deep, however long
     code, out, _ = invoke(["check", model_file, " & ".join(["<a>p"] * 2000)])
     assert (code, out) == (0, "true\n")
 
@@ -319,9 +325,10 @@ def test_sat_search_checks_conjuncts_one_at_a_time():
     assert invoke(argv) == (2, "", "error: 2 arrow blocks exceed the cap of 1\n")
 
 
-def test_sat_search_depth_refusal():
+def test_sat_search_deep_formula_decides():
+    # nesting is not budgeted: 70 negations, an even number, decide as p
     code, out, err = invoke(["sat-search", "~" * 70 + "p", "--max-states", "1"])
-    assert (code, out, err) == (2, "", "error: recursion deeper than 64\n")
+    assert (code, out, err) == (0, "states: s0\nval p: s0\npoint: s0\n", "")
 
 
 def test_sat_search_first_model_found():

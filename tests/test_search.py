@@ -45,6 +45,7 @@ from aaul.search import _canonical_candidates
 from aaul.syntax import flatten_conj, local_depth, signature, subformulas
 import helpers
 from helpers import (
+    deep_formula,
     invoke,
     naive_canonical,
     naive_eval,
@@ -103,6 +104,34 @@ def _cache_conjunct(rng, agents, props):
 
 def cache_formula(rng, agents, props):
     return conj([_cache_conjunct(rng, agents, props) for _ in range(rng.randint(1, 3))])
+
+
+def _refusing_conjunct(rng, agents, props):
+    """A conjunct that names the agent z, which no search here declares. An
+    update whose clause formula is <z>p or [*][z]p refuses wherever an
+    arrow needs that formula, and nowhere else; [*]g or <*>g with <z>p or
+    [z]p in g refuses wherever it is checked, the model with no arrows
+    included."""
+    named = rng.choice((Box, Diamond))("z", random_leaf(rng, props))
+    if rng.random() < 0.5:
+        g = rng.choice((And, Or, Implies))(random_quantifier_free(rng, 1, props, agents), named)
+        return rng.choice((ArbBox, ArbDiamond))(g)
+    if rng.random() < 0.5:
+        named = rng.choice((ArbBox, ArbDiamond))(named)
+    leaf = random_leaf(rng, props)
+    pre, post = (named, leaf) if rng.random() < 0.5 else (leaf, named)
+    body = random_quantifier_free(rng, rng.randint(0, 1), props, agents)
+    return rng.choice((UpdateBox, UpdateDiamond))(Update((Clause(pre, rng.choice(agents), post),)), body)
+
+
+def _with_refusals(rng, f, agents, props, capped):
+    """f under the default budget, f under the block cap `capped`, or f
+    with a `_refusing_conjunct` added under the default budget, at random:
+    the formula and the budget."""
+    pick = rng.randrange(3)
+    if pick == 2:
+        return conj([*flatten_conj(f), _refusing_conjunct(rng, agents, props)]), Budget()
+    return f, (Budget(), capped)[pick]
 
 
 def _outcome(f, max_states, agents, props, budget):
@@ -191,17 +220,15 @@ def test_sat_search_cache_changes_no_decision_at_one_size():
     it on every candidate, at one size of 2 or 3 states, and under small
     budgets: where the uncached search decides, the cached one returns the
     same model; every refusal is kept, unless a cached verdict stands in
-    for an update."""
+    for an update. Refusals come from the block cap and from clause
+    formulas that name an undeclared agent."""
     rng = random.Random(13)
     refused = decided = 0
     for _ in range(80):
         agents, props, n = rng.choice(
             ((("a", "b"), ("p",), 2), (("a",), ("p", "q"), 2), (("a",), ("p",), 3), (("a",), ("p", "q"), 3))
         )
-        f = cache_formula(rng, agents, props)
-        budget = rng.choice(
-            (Budget(), Budget(max_arrow_blocks=2), Budget(max_recursion_depth=rng.randint(1, 4)))
-        )
+        f, budget = _with_refusals(rng, cache_formula(rng, agents, props), agents, props, Budget(max_arrow_blocks=2))
         outcomes = []
         for cache in (True, False):
             with evaluators_built(cache):
@@ -220,6 +247,31 @@ def test_sat_search_cache_changes_no_decision_at_one_size():
             if isinstance(cached, AaulError) or not updates:
                 assert str(cached) == str(uncached), print_formula(f)
     assert refused >= 10 and decided >= 50
+
+
+def test_sat_search_decides_clauses_nested_past_64_levels():
+    """An update whose clause formula is nested 50 to 90 levels deep,
+    beside another conjunct. Nesting is not budgeted, so every search
+    decides, with the reference's output, wherever an arrow needs the
+    clause or not."""
+    rng = random.Random(20261020)
+    deep = found = refuted = 0
+    for _ in range(60):
+        agents, props, max_states = rng.choice(((("a",), ("p",), 2), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 2)))
+        levels = rng.randint(50, 90)
+        nested, leaf = deep_formula(rng, levels, props, agents), random_leaf(rng, props)
+        clause = Clause(*((nested, rng.choice(agents), leaf) if rng.random() < 0.5 else (leaf, rng.choice(agents), nested)))
+        body = random_quantifier_free(rng, rng.randint(0, 1), props, agents)
+        update = rng.choice((UpdateBox, UpdateDiamond))(Update((clause,)), body)
+        f = conj([_cache_conjunct(rng, agents, props), update])
+        expected = naive_sat_search(f, max_states, agents, props)
+        assert _outcome(f, max_states, agents, props, Budget()) == (
+            None if expected is None else save_model(expected)
+        ), print_formula(f)
+        deep += levels > 66
+        found += expected is not None
+        refuted += expected is None
+    assert deep >= 30 and found >= 25 and refuted >= 15
 
 
 def _generated(arrow_masks, n: int) -> bool:
@@ -339,14 +391,12 @@ def test_sat_search_settling_changes_no_decision():
         settles.append(real(check, m, c))
         return settles[-1]
 
-    for _ in range(150):
+    for _ in range(250):
         agents, props, max_states = rng.choice(
             ((("a",), ("p",), 3), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 2), (("a",), ("p",), 2))
         )
         f = conj([_settling_conjunct(rng, agents, props) for _ in range(rng.randint(1, 4))])
-        budget = rng.choice(
-            (Budget(), Budget(max_arrow_blocks=rng.randint(1, 3)), Budget(max_recursion_depth=rng.randint(1, 4)))
-        )
+        f, budget = _with_refusals(rng, f, agents, props, Budget(max_arrow_blocks=rng.randint(1, 3)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_settled", counted)
             settled = _outcome(f, max_states, agents, props, budget)
@@ -376,17 +426,16 @@ def test_sat_search_settling_changes_no_decision():
 
 def _undeclared_conjunct(rng, agents, props):
     """A conjunct of up to depth 2 whose update's clause formulas may name
-    the agent z, which no search here declares, or go past a small depth
-    cap."""
+    the agent z, which no search here declares, in a modality or in a
+    [*]/<*> body."""
     if rng.random() < 0.3:
         return random_quantifier_free(rng, 2, props, agents)
 
     def clause_formula():
         r = rng.random()
-        if r < 0.3:
-            return rng.choice((Box, Diamond))("z", random_leaf(rng, props))
         if r < 0.45:
-            return Not(Not(Not(Not(random_leaf(rng, props)))))
+            named = rng.choice((Box, Diamond))("z", random_leaf(rng, props))
+            return named if r < 0.3 else rng.choice((ArbBox, ArbDiamond))(named)
         return random_quantifier_free(rng, 1, props, agents)
 
     clauses = tuple(
@@ -404,17 +453,16 @@ def test_sat_search_undeclared_agent_matches_naive_reference():
     whole on the model it returns."""
     rng = random.Random(20261102)
     decided = answered = refused = 0
-    for _ in range(120):
+    for _ in range(300):
         agents, props, max_states = rng.choice(((("a",), ("p",), 3), (("a", "b"), ("p",), 2), (("a",), ("p", "q"), 2)))
         f = conj([_undeclared_conjunct(rng, agents, props) for _ in range(rng.randint(1, 3))])
-        budget = rng.choice((Budget(), Budget(max_recursion_depth=rng.randint(2, 5))))
-        outcome = _outcome(f, max_states, agents, props, budget)
+        outcome = _outcome(f, max_states, agents, props, Budget())
         try:
-            found = naive_sat_search(f, max_states, agents, props, budget)
+            found = naive_sat_search(f, max_states, agents, props)
         except AaulError:
             if isinstance(outcome, str):
                 m = load_model(outcome)
-                assert satisfies(m, m.point, f, budget) and naive_eval(m, m.point, f), print_formula(f)
+                assert satisfies(m, m.point, f) and naive_eval(m, m.point, f), print_formula(f)
                 answered += 1
             else:
                 refused += isinstance(outcome, AaulError)
@@ -828,12 +876,13 @@ def test_sat_search_dead_profiles_match_naive_reference():
     has two <a> conjuncts that need different successors, so most answers
     take 2 or 3 states, and conjuncts of depth 1 that read 1-2 atoms past
     s0 and some at s0. A valuation skipped by a profile that left out s0's
-    atoms answers wrongly here. Under the default budget, `_settled` also
-    refuses the first conjunct of depth 0 on every model with no arrows,
-    as a real refusal there would, since it reads the formula alone: the
-    arrowless outcome is kept per atoms of s0 with that conjunct left to
-    the candidates, which are asked it, and no pair of atoms of s0 and
-    conjunct gets a second arrowless probe."""
+    atoms answers wrongly here. Half the formulas get a conjunct that
+    names the undeclared agent z (`_refusing_conjunct`). In the others,
+    `_settled` also refuses the first conjunct of depth 0 on every model
+    with no arrows, as a real refusal there would, since it reads the
+    formula alone: the arrowless outcome is kept per atoms of s0 with that
+    conjunct left to the candidates, which are asked it, and no pair of
+    atoms of s0 and conjunct gets a second arrowless probe."""
     rng = random.Random(20261106)
     agents, props = ("a",), ("p", "q", "r")
     found = refuted = refused = naive_checked = asked = 0
@@ -844,8 +893,14 @@ def test_sat_search_dead_profiles_match_naive_reference():
         others = [p for p in props if p != x]
         parts = [Diamond("a", And(Atom(x), _literal(rng, others))), Diamond("a", And(Not(Atom(x)), _literal(rng, others)))]
         parts += [_profile_conjunct(rng, agents, props) for _ in range(rng.randint(1, 3))]
+        undeclared = rng.random() < 0.5
+        if undeclared:
+            # the uncached search then tries every candidate that a refusal
+            # never reaches: seconds each at 3 states
+            max_states = min(max_states, 2)
+            parts.append(_refusing_conjunct(rng, agents, props))
         f = conj(parts)
-        budget = rng.choice((Budget(), Budget(max_recursion_depth=rng.randint(1, 4))))
+        budget = Budget()
         shared = _outcome(f, max_states, agents, props, budget)
         with evaluators_built(cache=False):
             uncached = _outcome(f, max_states, agents, props, budget)
@@ -863,7 +918,7 @@ def test_sat_search_dead_profiles_match_naive_reference():
         refuted += shared is None
         refused += isinstance(shared, AaulError)
         depth0 = [c for c in flatten_conj(f) if local_depth(c) == 0]
-        if budget == Budget() and depth0:
+        if not undeclared and depth0:
             probes, arrowless = [], []
 
             def settled(check, m, c):
@@ -900,19 +955,19 @@ def test_sat_search_builds_fewer_evaluators():
 
 
 def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
-    # the clause is 70 levels deep, and it is judged only on a candidate
-    # with an a-arrow; the update's body reads s0's valuation alone, so its
-    # verdict from the arrowless candidate is kept for the looping one,
-    # where checking the conjunct would have gone over the recursion budget
-    argv = ["sat-search", "~p & [{(" + "~" * 70 + "p,a,true)}]p", "--max-states", "1"]
+    # the clause names z, which the search does not declare, and it is
+    # judged only on a candidate with an a-arrow; the update's body reads
+    # s0's valuation alone, so its verdict from the arrowless candidate is
+    # kept for the looping one, where checking the conjunct would refuse
+    argv = ["sat-search", "~p & [{(<z>p,a,true)}]p", "--agents", "a", "--max-states", "1"]
     assert invoke(argv) == (1, "none up to 1 states\n", "")
     with evaluators_built(cache=False):
-        assert invoke(argv) == (2, "", "error: recursion deeper than 64\n")
+        assert invoke(argv) == (2, "", "error: unknown agent 'z'\n")
     # at two states the update conjunct still has local depth 0, so it is
     # settled once per valuation on the model without arrows, where no arrow
     # needs the clause: every valuation is rejected there, before any
     # candidate is built
-    argv[3] = "2"
+    argv[-1] = "2"
     assert invoke(argv) == (1, "none up to 2 states\n", "")
     # the reference, checking f whole, refuses where [a][*]false meets two
     # arrow blocks, on a candidate with p false at s0. There the update
@@ -933,11 +988,12 @@ def test_sat_search_cache_may_answer_where_a_skipped_clause_is_refused():
 def test_sat_search_keeps_arrowless_outcomes_past_refused_probes():
     # on the model with no arrows the kernel's path reads the formula alone
     # (`_sat_search_n`, "Profiles" (1)), so a probe refused there is refused
-    # for every valuation: ~~~q goes past the recursion cap of 3 under each
-    # of the 4 sets of s0's atoms, and the arrowless outcome, the update left
-    # to the candidates, is kept per set (18 refused probes when a refusal
-    # kept no outcome). A candidate then meets the same refusal
-    f = parse_formula("<a>(p & q) & <a>(p & ~q) & <{(p,a,true)}>~~~q")
+    # for every valuation: [z]q names an agent the search does not declare,
+    # and [*] evaluates it on the empty union under each of the 4 sets of
+    # s0's atoms. The arrowless outcome, the [*] conjunct left to the
+    # candidates, is kept per set (18 refused probes when no outcome is
+    # kept). A candidate then meets the same refusal
+    f = parse_formula("<a>(p & q) & <a>(p & ~q) & [*][z]q")
     real, refused = search._settled, []
 
     def counted(check, m, c):
@@ -948,8 +1004,8 @@ def test_sat_search_keeps_arrowless_outcomes_past_refused_probes():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_settled", counted)
-        with pytest.raises(AaulError, match="recursion deeper than 3"):
-            sat_search(f, 3, budget=Budget(max_recursion_depth=3))
+        with pytest.raises(UnknownAgentError, match="unknown agent 'z'"):
+            sat_search(f, 3, agents=("a",))
     assert len(refused) == len(set(refused)) == 4
 
 
@@ -972,9 +1028,7 @@ def test_sat_search_kept_tables_change_no_output():
         agents, props = rng.choice(names), rng.choice(prop_sets)
         drawn = props or ("p",)  # with no props, its atoms are false everywhere
         f = conj([rng.choice(generators)(rng, agents, drawn) for _ in range(rng.randint(1, 3))])
-        budget = rng.choice(
-            (Budget(), Budget(max_recursion_depth=rng.randint(1, 4)), Budget(max_arrow_blocks=rng.randint(1, 3)))
-        )
+        f, budget = _with_refusals(rng, f, agents, drawn, Budget(max_arrow_blocks=rng.randint(1, 3)))
         cases.append((f, rng.randint(1, 3), agents, props, budget))
     outputs, built = {}, []
     real = search._size_tables
