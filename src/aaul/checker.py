@@ -30,7 +30,10 @@ still walked in order, so each skipped one repeats a truth set already
 taken, and the answer, the early exit and every refusal stay the same. A
 body with a nested [*]/<*> reads every agent, unless the quantified model
 is separated: its coarsest partition is its valuation partition, so that
-no two bisimulation blocks agree on every proposition.
+no two bisimulation blocks agree on every proposition. There a body with a
+nested [*]/<*> is evaluated on each kept union cut to the agents it reads,
+whose partition and arrow blocks are known without refinement, so the
+nested walk walks only the read blocks.
 
 `brute_force_arb_oracle` answers the same question along a deliberately
 different path for differential testing: per-state recursion with no
@@ -138,14 +141,16 @@ def _read_agents(body: Formula, separated: bool) -> frozenset[str] | None:
     return signature(body)[1]
 
 
-def _distinct_unions(m: KripkeModel, checked, body: Formula, read: dict):
+def _distinct_unions(m: KripkeModel, checked, body: Formula, ev: _Evaluator):
     """The items of `_unions(m, blocks)` whose arrows for the agents body
-    reads differ from those of every earlier item. checked(), cached,
-    gives m's partition and arrow blocks past the cap (`_checked_blocks`),
-    asked for once the walk goes past the empty union. After the second
-    union, m is judged separated when that partition took no refinement
-    round, and `_read_agents(body, separated)` is kept in `read` under
-    (id(body), separated): one body can be met at models of both kinds.
+    reads differ from those of every earlier item, each cut to those agents
+    when body holds a nested [*]/<*>. checked(), cached, gives m's partition
+    and arrow blocks past the cap (`_checked_blocks`), asked for once the
+    walk goes past the empty union. After the second union, m is judged
+    separated when that partition took no refinement round, and the pair
+    (`_read_agents(body, separated)`, whether body holds a quantifier) is
+    kept in `ev.read` under (id(body), separated): one body can be met at
+    models of both kinds.
 
     Soundness, for a [*]/<*> body g. Every union has the root's states and
     valuation, so a quantifier-free g's truth set in it depends only on the
@@ -170,19 +175,38 @@ def _distinct_unions(m: KripkeModel, checked, body: Formula, read: dict):
     every agent's arrows, so in general g reads every agent. (ii) If m is
     separated (P is its valuation partition: refinement took no round),
     every derived partition lies between P and the valuation partition, so
-    it is P, numbered the same (by first state). A derived model's arrow
-    blocks are then exactly its chosen blocks of m, in m's order, its
-    nested range is every sub-union of them, and the nested truth set
-    depends only on its arrows for the agents the nested body reads.
-    (3) Two unions with equal read arrows have the same read blocks in the
-    same relative order, so their nested walks evaluate the same distinct
-    read sets in the same order, with the same refusals, early exits and
-    witnesses. The empty union, evaluated before the read agents are asked
-    for, is never skipped. A valuation-discrete m is the special case where
-    P is discrete.
+    it is P, numbered the same (by first state), found in no round. A
+    derived model's arrow blocks are then exactly its chosen blocks of m,
+    in m's order, its nested range is every sub-union of them, and the
+    nested truth set depends only on its arrows for the agents the nested
+    body reads. (3) Two unions with equal read arrows have the same read
+    blocks in the same relative order, so their nested walks evaluate the
+    same distinct read sets in the same order, with the same refusals,
+    early exits and witnesses. The empty union, evaluated before the read
+    agents are asked for, is never skipped. A valuation-discrete m is the
+    special case where P is discrete.
+
+    (4) The cut. On a separated m, a kept union U is replaced by its cut
+    C: U's arrows for the agents g reads, every other agent's emptied. C
+    is the union of U's chosen blocks of read agents, so it is a union of
+    m's blocks, and by (ii) its partition is P and its arrow blocks are
+    those chosen read blocks in m's order; that pair is recorded in
+    `ev.known` under C's arrows, where the nested walk at C reads it
+    instead of refining, and by (i) it needs no cap. g's truth set is the
+    same at U and C, by (i)-(3) applied to both: g's modalities and update
+    clauses name only read agents, its clause formulas are subformulas of
+    g and read only them too, and an update inside g keeps only its clause
+    agents' arrows, so the models reached from U and from C along g agree
+    on every read agent's arrows. Their nested walks range over the
+    sub-unions of U's and of C's blocks, whose read blocks are the same in
+    the same order, so by (3) they evaluate the same read sets in the same
+    order, nested cuts included, with the same refusals and early exits.
+    The outer walk, its `chosen` tuples and the cap are untouched, so the
+    answer, the early exit and the update `witness_update` materializes
+    are those without the cut.
 
     Every union is still drawn from `_unions`, in its order; only the
-    body's evaluation is skipped.
+    body's evaluation is skipped or moved to the cut.
     """
     unions = _unions(m, lambda: checked()[1])
     first = next(unions)
@@ -190,19 +214,25 @@ def _distinct_unions(m: KripkeModel, checked, body: Formula, read: dict):
     second = next(unions, None)  # calls checked(), which raises over the cap
     if second is None:
         return
-    key = (id(body), checked()[0].rounds == 0)
-    if key not in read:
-        read[key] = _read_agents(body, key[1])
-    agents = m.agents if read[key] is None else tuple(a for a in m.agents if a in read[key])
+    part, blocks = checked()
+    key = (id(body), part.rounds == 0)
+    if key not in ev.read:
+        ev.read[key] = (_read_agents(body, key[1]), not is_quantifier_free(body))
+    read, nested = ev.read[key]
+    agents = m.agents if read is None else tuple(a for a in m.agents if a in read)
     unions = itertools.chain((second,), unions)
     if len(agents) == len(m.agents):
         yield from unions  # every union differs on some agent's arrows
         return
+    unread = dict.fromkeys((a for a in m.agents if a not in read), frozenset())
     seen = {tuple(map(first[1].arrows.__getitem__, agents))}
     for chosen, sub in unions:
         key = tuple(map(sub.arrows.__getitem__, agents))
         if key not in seen:
             seen.add(key)
+            if nested:  # read is a proper subset only on a separated m: (4)
+                sub = m._derive({**sub.arrows, **unread})
+                ev.known[sub._fingerprint[3]] = (part, tuple(blocks[i] for i in chosen if blocks[i].agent in read))
             yield chosen, sub
 
 
@@ -280,7 +310,10 @@ class _Evaluator:
     walks the unions in the order [*] does, behind the same cap, and stops
     once g holds somewhere on every state, exactly where ~[*]~g would stop.
     Both evaluate g only on the unions `_distinct_unions` keeps, with g's
-    read agents found once per node and kind of model.
+    read agents found once per node and kind of model. A cut model it
+    yields comes with its partition and arrow blocks, kept in `known` by
+    the model's arrow tuple; the table is looked in only once it holds
+    one, and a model not in it is refined as any other.
 
     One evaluator serves one `core_checker`. Every model it sees is the root
     or a union or update derived from it, with the root's states, valuation
@@ -299,6 +332,7 @@ class _Evaluator:
         self.interned: dict = {}
         self.chains: dict = {}
         self.read: dict = {}
+        self.known: dict = {}
         self.model = self.memo = self.states = None
 
     def truth_set(self, m: KripkeModel, f: Formula) -> frozenset[str]:
@@ -342,8 +376,9 @@ class _Evaluator:
             box = kind is ArbBox
             out = states if box else frozenset()
             if not (box and type(f.body) is Top):
-                checked = functools.cache(lambda: _checked_blocks(m, self.budget))
-                unions = _distinct_unions(m, checked, f.body, self.read)
+                known = self.known and self.known.get(m._fingerprint[3])
+                checked = (lambda: known) if known else functools.cache(lambda: _checked_blocks(m, self.budget))
+                unions = _distinct_unions(m, checked, f.body, self)
                 for _, sub in unions:
                     got = self.truth_set(sub, f.body)
                     out = out & got if box else out | got
@@ -401,9 +436,9 @@ def witness_update(m: KripkeModel, state: str, f: Formula, budget: Budget = DEFA
         raise TypeError("witness_update expects a <*> formula")
     m.state_index(state)
     checked = functools.cache(lambda: _checked_blocks(m, budget))
-    check = core_checker(budget)
-    for chosen, sub in _distinct_unions(m, checked, f.body, {}):
-        if state in check(sub, f.body):
+    ev = _Evaluator(budget)
+    for chosen, sub in _distinct_unions(m, checked, f.body, ev):
+        if state in _guarded(ev.truth_set, sub, f.body):
             return _materialize_update(m, checked, chosen)
     return None
 
@@ -452,12 +487,12 @@ class _Oracle:
             if isinstance(f, Implies):
                 return (not left) or right
             return left == right
-        if isinstance(f, Box):
-            results = [self.holds(m, v, f.body) for v in m.successors(f.agent, w)]
-            return all(results)
-        if isinstance(f, Diamond):
-            results = [self.holds(m, v, f.body) for v in m.successors(f.agent, w)]
-            return any(results)
+        if isinstance(f, (Box, Diamond)):
+            # a plain loop, not a comprehension: one frame per level on every Python
+            results = []
+            for v in m.successors(f.agent, w):
+                results.append(self.holds(m, v, f.body))
+            return all(results) if isinstance(f, Box) else any(results)
         if isinstance(f, (UpdateBox, UpdateDiamond)):
             # applying an update is deterministic, so [U] and <U> coincide
             updated = apply_update(m, f.update, self._truth(m))

@@ -33,8 +33,8 @@ tiling check and the solver share. The quantified conjuncts decide under
 the default budget on the 1x1 torus (8 arrow blocks) and on the plain 2x2
 torus (15 blocks). Both tori are separated (their partition is their
 valuation partition), so the outer quantifier of a nested part (propd_*,
-return_*) evaluates its body once per set of arrows it reads (see
-checker), not on every union. On the 1x1 torus of a self-matching tile
+return_*) evaluates its body once per set of arrows it reads, on the
+union cut to those arrows (see checker), not on every union. On the 1x1 torus of a self-matching tile
 every part holds except return_u/d/l/r: there each direction's
 successor of the cell is the cell itself, so no update can unmark the
 cell while keeping its successor marked. On the plain 2x2 torus of the

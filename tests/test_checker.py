@@ -48,6 +48,7 @@ from aaul import (
 )
 from aaul import checker
 from aaul.checker import _unions, core_checker
+from aaul.tiling import DIRECTIONS
 from helpers import (
     deep_formula,
     naive_apply,
@@ -271,10 +272,12 @@ def _nested_diamonds(n, leaf=Atom("p")):
 
 def test_deep_nesting_decides():
     # nesting costs one evaluator frame per level and no budget counts it:
-    # 600 nested <a>, well within the interpreter's stack, decide
+    # 600 nested <a>, well within the interpreter's stack, decide; the
+    # oracle spends one frame per level too
     m = load_model("states: w\nagent a: w->w\n")
     assert satisfies(m, "w", _nested_diamonds(600, TOP))
     assert not satisfies(m, "w", _nested_diamonds(600))
+    assert brute_force_arb_oracle(m, "w", _nested_diamonds(600, TOP))
 
 
 def _functional_model(rng, agents=("a", "b")):
@@ -713,20 +716,38 @@ def _nested_body(rng, agents, named):
     return rng.choice((Box, Diamond))(rng.choice(agents), inner)
 
 
+def _evaluators(monkeypatch):
+    """Patch the checker to record each evaluator it makes, in a list returned."""
+    made = []
+    init = checker._Evaluator.__init__
+
+    def recorded(self, budget):
+        init(self, budget)
+        made.append(self)
+
+    monkeypatch.setattr(checker._Evaluator, "__init__", recorded)
+    return made
+
+
 def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
     # On a separated model (partition = valuation partition) a body with a
     # nested [*]/<*> reads only the agents of its modalities and update
-    # clauses. Two families: valuation-discrete models, and separated ones
-    # that are not discrete. Forcing the read set to every agent must give
-    # the same truth sets, refusals and witnesses, and the answers must
-    # match naive_eval, which enumerates every range. A fifth run turns the
-    # modalities of one read agent into those of the undeclared z.
-    _, calls = _record(monkeypatch)
+    # clauses, and is evaluated on each kept union cut to them. Two
+    # families: valuation-discrete models, and separated ones that are not
+    # discrete. Forcing the read set to every agent skips and cuts nothing:
+    # it must give the same truth sets, refusals and witnesses, its nested
+    # walks must draw no fewer unions, and the answers must match
+    # naive_eval, which enumerates every range. Each partition and block
+    # tuple recorded for a cut model must be the one refinement gives it. A
+    # fifth run turns the modalities of one read agent into those of the
+    # undeclared z.
+    drawn, calls = _record(monkeypatch)
+    made = _evaluators(monkeypatch)
     skipping = checker._read_agents
     budgets = [Budget(max_arrow_blocks=cap) for cap in (1, 2, 4, 8)]
     for family, seed in ((_discrete_model, 131), (_separated_model, 137)):
         rng = random.Random(seed)
-        answers = refusals = undeclared = naive_checked = fired = 0
+        answers = refusals = undeclared = naive_checked = fired = cut = 0
         for _ in range(160):
             agents = ("a", "b", "c")[: rng.randint(2, 3)]
             m = family(rng, agents)
@@ -742,10 +763,18 @@ def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
                     monkeypatch.setattr(checker, "_read_agents", reads)
                     got = _answer(truth_set, m, h, budget)
                     witness = _answer(witness_update, m, m.point, ArbDiamond(h.body), budget)
-                    runs.append((got, witness, len(calls), sum(g is h.body for g in calls)))
+                    known = [item for ev in made for item in ev.known.items()]
+                    runs.append((got, witness, len(calls), sum(g is h.body for g in calls), len(drawn), known))
                     calls.clear()
+                    drawn.clear()
+                    made.clear()
                 assert runs[0][:2] == runs[1][:2] and runs[0][2] <= runs[1][2] and runs[0][3] <= runs[1][3]
+                assert runs[0][4] <= runs[1][4] and not runs[1][5]
                 fired += runs[0][3] < runs[1][3]  # the outer walk skipped a body with a nested quantifier
+                cut += runs[0][4] < runs[1][4] and bool(runs[0][5])
+                for arrows, (cut_part, cut_blocks) in runs[0][5]:
+                    c = m.with_arrows(dict(zip(m.agents, arrows)))
+                    assert coarsest_partition(c) == cut_part and arrow_blocks(c, cut_part) == cut_blocks
                 got = runs[0][0]
                 answers += isinstance(got, frozenset)
                 refusals += not isinstance(got, frozenset)
@@ -754,7 +783,8 @@ def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
                 if isinstance(got, frozenset) and len(arrow_blocks(m, part)) <= 5 and h is f and budget is budgets[-1]:
                     assert got == {s for s in m.states if naive_eval(m, s, f)}
                     naive_checked += 1
-        assert answers >= 300 and refusals >= 200 and undeclared >= 50 and naive_checked >= 100 and fired >= 200, family
+        assert answers >= 300 and refusals >= 200 and undeclared >= 50 and naive_checked >= 100, family
+        assert fired >= 200 and cut >= 100, family
 
 
 # Each read-set rule the skip depends on, on a model where breaking it skips a
@@ -798,16 +828,28 @@ def test_quantifier_evaluates_body_once_per_read_arrow_set(monkeypatch):
 def test_nested_tiling_conjuncts_walk_their_read_agents(monkeypatch):
     # The 1x1 self-tiling torus is valuation-discrete, with 8 arrow blocks:
     # an a-loop on each state, b out and back, one loop per direction. The
-    # quantifier under propd_u's and return_u's [b] reads a, b and u, 5 of
-    # the blocks, so it evaluates its body on 32 of the 256 unions.
+    # quantifier under propd_x's and return_x's [b] reads a, b and x, 5 of
+    # the blocks, so it evaluates its body on 32 of the 256 unions, each cut
+    # to those agents. So every nested walk ranges over read blocks alone,
+    # the same for each direction, and reads its partition off the cut: the
+    # only partitions refined are the root's and, at the empty union, which
+    # comes before any cut, one per nested quantifier node met there (two in
+    # propd_x, one in return_x).
     inst = parse_tiles("tile T N=c E=c S=c W=c\n")
     m = build_torus_model(inst, find_periodic_tiling(inst, 1))
     part = coarsest_partition(m)
     assert part.rounds == 0 and len(part.blocks) == len(m.states) and len(arrow_blocks(m, part)) == 8
     named = encode_parts(inst).named()
-    _, evaluated = _record(monkeypatch)
-    for name, expected in (("propd_u", True), ("return_u", False)):
-        quantified = named[name].body
-        assert satisfies(m, "s0", named[name]) is expected
-        assert sum(g is quantified.body for g in evaluated) == 32
-        evaluated.clear()
+    drawn, evaluated = _record(monkeypatch)
+    partitions = []
+    refine = checker.coarsest_partition
+    monkeypatch.setattr(checker, "coarsest_partition", lambda model: partitions.append(model) or refine(model))
+    for x in DIRECTIONS:
+        for name, expected, built, walked in ((f"propd_{x}", True, 3, 598), (f"return_{x}", False, 2, 499)):
+            quantified = named[name].body
+            assert satisfies(m, "s0", named[name]) is expected
+            assert sum(g is quantified.body for g in evaluated) == 32
+            assert (len(partitions), len(drawn)) == (built, walked), name
+            evaluated.clear()
+            drawn.clear()
+            partitions.clear()
