@@ -31,10 +31,11 @@ class UnknownAgentError(AaulError):
 
 class BudgetExceededError(AaulError):
     """A check was refused rather than answered. Never silently converted
-    to a truth value. `kind` says why: "arrow_blocks" when a quantified
-    model has more arrow blocks than `Budget.max_arrow_blocks`, and
-    "recursion" when a formula is nested deeper than the interpreter's
-    stack allows."""
+    to a truth value. `kind` says why: "arrow_blocks" when a walk needs a
+    model with more arrow blocks than `Budget.max_arrow_blocks` that the
+    symbolic path cannot take, "bdd_nodes" when a symbolic decision needs
+    more BDD nodes than `checker.MAX_BDD_NODES`, and "recursion" when a
+    formula is nested deeper than the interpreter's stack allows."""
 
     def __init__(self, message: str, kind: str):
         super().__init__(message)

@@ -41,8 +41,11 @@ cell while keeping its successor marked. On the plain 2x2 torus of the
 alternating instance every part holds except return_u/d: vertical
 neighbours carry the same tile and are bisimilar, so no quantifier-free
 update can unmark a cell while keeping its u- or d-successor marked.
-With one private proposition per cell (`cell_props`) the 2x2 torus has 29
-arrow blocks, and the default budget refuses them.
+With one private proposition per cell (`cell_props`) no two cells of the
+2x2 torus are bisimilar, and every part holds there, return_u/d too. That
+torus has 29 arrow blocks, over the default cap of 20, so each quantifier
+that goes past its empty union is decided with one BDD variable per
+block (see checker), and the whole encoding decides in about 0.05 s.
 """
 
 from __future__ import annotations

@@ -128,9 +128,9 @@ def test_arb_top_shortcut_skips_enumeration():
     m = _sixteen_blocks()
     tight = Budget(max_arrow_blocks=10)
     assert satisfies(m, "s0", parse_formula("[*]true"), tight)
-    with pytest.raises(BudgetExceededError) as exc:
-        satisfies(m, "s0", parse_formula("[*]p"), tight)
-    assert exc.value.kind == "arrow_blocks"
+    # past the cap [*] is decided symbolically; an update keeps the
+    # valuation, so [*]p is p
+    assert truth_set(m, parse_formula("[*]p"), tight) == truth_set(m, parse_formula("p")) == {"s1", "s3"}
 
 
 def test_over_cap_model_decided_at_the_empty_union(monkeypatch):
@@ -146,9 +146,13 @@ def test_over_cap_model_decided_at_the_empty_union(monkeypatch):
     w = witness_update(m, "s0", parse_formula("<*>[a]false"), tight)
     assert print_update(w) == "{(false,a,false)}"
     assert partitions == []
+    # past the empty union the partition is built once, and over the cap
+    # [*] is decided symbolically, while witness_update keeps its walk's cap
+    assert truth_set(m, parse_formula("[*]p"), tight) == {"s1", "s3"}
+    assert len(partitions) == 1
     with pytest.raises(BudgetExceededError) as exc:
-        satisfies(m, "s0", parse_formula("[*]p"), tight)
-    assert exc.value.kind == "arrow_blocks" and len(partitions) == 1
+        witness_update(m, "s0", parse_formula("<*><a>true"), tight)
+    assert exc.value.kind == "arrow_blocks" and str(exc.value) == "16 arrow blocks exceed the cap of 10"
 
 
 def test_results_are_reproducible():
@@ -413,7 +417,9 @@ def _outcome(m, f, budget):
 def test_sugared_node_matches_its_definition(twins, monkeypatch):
     # the same truth set or the same refusal, after the same number of
     # unions drawn: the twins visit the operands, the unions and the early
-    # exits of [*] in the same order
+    # exits of [*] in the same order. Past the cap [*]/<*> are decided
+    # symbolically, so the refusals are those of a nested body at a model
+    # that is not separated
     drawn, _ = _record(monkeypatch)
     rng = random.Random(97)
     answers = refusals = 0
@@ -431,7 +437,7 @@ def test_sugared_node_matches_its_definition(twins, monkeypatch):
             drawn.clear()
             answers += isinstance(got, frozenset)
             refusals += isinstance(got, str)
-    assert answers >= 800 and (refusals >= 200 or sugared is BOT)
+    assert answers >= 4200 and (refusals >= 2 or sugared is BOT)
 
 
 def _validated_union(m, blocks, chosen):
@@ -582,15 +588,17 @@ def _undeclared(f, agent):
     return parse_formula(re.sub(rf"([<\[]){agent}([>\]])", r"\1z\2", print_formula(f)))
 
 
-def test_blocks_are_asked_for_only_past_the_empty_union():
+def test_blocks_are_asked_for_only_past_the_empty_union(monkeypatch):
     # [*]g and <*>g meet the block cap only when the walk goes past the
     # empty union: where g holds nowhere there ([*]), or everywhere (<*>),
-    # they answer at any block count, and otherwise they refuse over the
-    # cap. [*]true answers without a walk. witness_update likewise stops at
-    # the empty union when g holds at the state there. Every answer matches
-    # naive_eval, which builds every range in full.
+    # they answer at any block count without a partition, and otherwise
+    # they are decided symbolically over the cap. [*]true answers without a
+    # walk. witness_update likewise stops at the empty union when g holds
+    # at the state there, and refuses over the cap otherwise. Every answer
+    # matches naive_eval, which builds every range in full.
+    decided = _symbolic_calls(monkeypatch)
     rng = random.Random(139)
-    answered_over_cap = refusals = naive_checked = 0
+    answered_over_cap = symbolic = refusals = naive_checked = 0
     for _ in range(300):
         m = random_model(rng, max_states=3)
         blocks = len(arrow_blocks(m, coarsest_partition(m)))
@@ -601,10 +609,9 @@ def test_blocks_are_asked_for_only_past_the_empty_union():
             for cap in (1, 2, 4):
                 budget = Budget(max_arrow_blocks=cap)
                 got = _answer(truth_set, m, f, budget)
-                if blocks > cap and not stops:
-                    assert got == ("arrow_blocks", f"{blocks} arrow blocks exceed the cap of {cap}")
-                    refusals += 1
-                    continue
+                assert decided == ([(m, f)] if blocks > cap and not stops else [])
+                symbolic += len(decided)
+                decided.clear()
                 answered_over_cap += blocks > cap
                 if blocks <= 8:
                     assert got == {s for s in m.states if naive_eval(m, s, f)}
@@ -613,10 +620,11 @@ def test_blocks_are_asked_for_only_past_the_empty_union():
             w = _answer(witness_update, m, m.point, ArbDiamond(body), Budget(max_arrow_blocks=cap))
             if blocks > cap and m.point not in empty:
                 assert w == ("arrow_blocks", f"{blocks} arrow blocks exceed the cap of {cap}")
+                refusals += 1
             elif blocks <= 8:
                 assert (w is not None) == naive_eval(m, m.point, ArbDiamond(body))
                 assert w is None or naive_eval(naive_apply(m, w), m.point, body)
-    assert answered_over_cap >= 300 and refusals >= 300 and naive_checked >= 1000
+    assert answered_over_cap >= 700 and symbolic >= 400 and refusals >= 190 and naive_checked >= 1400
 
 
 def _modal(rng, agents):
@@ -632,7 +640,9 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
     # agent into z's, refused wherever they are reached. Both runs draw the
     # same unions unless a nested walk can be skipped: on a separated model
     # (partition = valuation partition), when f holds a quantifier (nested
-    # under the witness's <*>), the skipping run may draw fewer.
+    # under the witness's <*>), the skipping run may draw fewer. Past the
+    # cap [*]/<*> are decided symbolically, so the block cap refuses only a
+    # nested body at a model that is not separated, and witness_update.
     drawn, calls = _record(monkeypatch)
     skipping = checker._read_agents
     budgets = [Budget(max_arrow_blocks=cap) for cap in (1, 2, 4, 8)]
@@ -674,7 +684,7 @@ def test_skipped_unions_change_no_outcome(monkeypatch):
             if isinstance(got, frozenset) and sum(map(len, m.arrows.values())) <= 5 and h is f and budget is budgets[-1]:
                 assert got == {s for s in m.states if naive_eval(m, s, f)}
                 naive_checked += 1
-    assert answers >= 1400 and refusals >= 300 and undeclared >= 100 and naive_checked >= 300 and skipped >= 120
+    assert answers >= 2800 and refusals >= 150 and undeclared >= 100 and naive_checked >= 300 and skipped >= 120
 
 
 def _discrete_model(rng, agents):
@@ -738,11 +748,14 @@ def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
     # it must give the same truth sets, refusals and witnesses, its nested
     # walks must draw no fewer unions, and the answers must match
     # naive_eval, which enumerates every range. Each partition and block
-    # tuple recorded for a cut model must be the one refinement gives it. A
-    # fifth run turns the modalities of one read agent into those of the
-    # undeclared z.
+    # tuple recorded for a cut model, which is never refined, must be the
+    # one refinement gives it. A fifth run turns the modalities of one read
+    # agent into those of the undeclared z.
     drawn, calls = _record(monkeypatch)
     made = _evaluators(monkeypatch)
+    refined = set()
+    refine = checker.coarsest_partition
+    monkeypatch.setattr(checker, "coarsest_partition", lambda model: refined.add(model.fingerprint[3]) or refine(model))
     skipping = checker._read_agents
     budgets = [Budget(max_arrow_blocks=cap) for cap in (1, 2, 4, 8)]
     for family, seed in ((_discrete_model, 131), (_separated_model, 137)):
@@ -763,11 +776,13 @@ def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
                     monkeypatch.setattr(checker, "_read_agents", reads)
                     got = _answer(truth_set, m, h, budget)
                     witness = _answer(witness_update, m, m.point, ArbDiamond(h.body), budget)
-                    known = [item for ev in made for item in ev.known.items()]
+                    # the table's entries for models never refined: the cut ones
+                    known = [item for ev in made for item in ev.table.items() if item[0] not in refined]
                     runs.append((got, witness, len(calls), sum(g is h.body for g in calls), len(drawn), known))
                     calls.clear()
                     drawn.clear()
                     made.clear()
+                    refined.clear()
                 assert runs[0][:2] == runs[1][:2] and runs[0][2] <= runs[1][2] and runs[0][3] <= runs[1][3]
                 assert runs[0][4] <= runs[1][4] and not runs[1][5]
                 fired += runs[0][3] < runs[1][3]  # the outer walk skipped a body with a nested quantifier
@@ -783,7 +798,9 @@ def test_nested_quantifier_reads_its_body_on_a_discrete_model(monkeypatch):
                 if isinstance(got, frozenset) and len(arrow_blocks(m, part)) <= 5 and h is f and budget is budgets[-1]:
                     assert got == {s for s in m.states if naive_eval(m, s, f)}
                     naive_checked += 1
-        assert answers >= 300 and refusals >= 200 and undeclared >= 50 and naive_checked >= 100, family
+        # past the cap these separated models are decided symbolically: every
+        # refusal is the undeclared agent's
+        assert answers >= 700 and refusals == undeclared >= 70 and naive_checked >= 100, family
         assert fired >= 200 and cut >= 100, family
 
 
@@ -833,8 +850,8 @@ def test_nested_tiling_conjuncts_walk_their_read_agents(monkeypatch):
     # to those agents. So every nested walk ranges over read blocks alone,
     # the same for each direction, and reads its partition off the cut: the
     # only partitions refined are the root's and, at the empty union, which
-    # comes before any cut, one per nested quantifier node met there (two in
-    # propd_x, one in return_x).
+    # comes before any cut, the arrowless model's, refined once for the
+    # nested quantifier nodes met there (two in propd_x, one in return_x).
     inst = parse_tiles("tile T N=c E=c S=c W=c\n")
     m = build_torus_model(inst, find_periodic_tiling(inst, 1))
     part = coarsest_partition(m)
@@ -845,7 +862,7 @@ def test_nested_tiling_conjuncts_walk_their_read_agents(monkeypatch):
     refine = checker.coarsest_partition
     monkeypatch.setattr(checker, "coarsest_partition", lambda model: partitions.append(model) or refine(model))
     for x in DIRECTIONS:
-        for name, expected, built, walked in ((f"propd_{x}", True, 3, 598), (f"return_{x}", False, 2, 499)):
+        for name, expected, built, walked in ((f"propd_{x}", True, 2, 598), (f"return_{x}", False, 2, 499)):
             quantified = named[name].body
             assert satisfies(m, "s0", named[name]) is expected
             assert sum(g is quantified.body for g in evaluated) == 32
@@ -853,3 +870,110 @@ def test_nested_tiling_conjuncts_walk_their_read_agents(monkeypatch):
             evaluated.clear()
             drawn.clear()
             partitions.clear()
+
+
+def _symbolic_calls(monkeypatch):
+    """Patch the checker to record each quantifier it decides symbolically,
+    with its model, in a list returned."""
+    decided = []
+    decide = checker._Symbolic.decide
+
+    def recorded(self, f):
+        decided.append((self.m, f))
+        return decide(self, f)
+
+    monkeypatch.setattr(checker._Symbolic, "decide", recorded)
+    return decided
+
+
+def _non_separated_model(rng):
+    """A random model of 2-4 states whose partition took a refinement round."""
+    while True:
+        m = random_model(rng, max_states=4, density=0.3)
+        if coarsest_partition(m).rounds:
+            return m
+
+
+def test_symbolic_quantifiers_match_naive_eval(monkeypatch):
+    # Under caps of 1 and 2 blocks, every [*]/<*> past the empty union is
+    # decided symbolically. Three families, each against naive_eval, which
+    # builds every range in full and uses no BDD: flat bodies on any model;
+    # bodies with a nested [*]/<*> on separated models, where the nested
+    # range is read off the root's blocks; and an update in front of a
+    # quantifier on models that are not separated, where the quantifier
+    # meets a model the update derived, with a partition of its own. A
+    # nested body at a model that is not separated is refused.
+    decided = _symbolic_calls(monkeypatch)
+    budgets = (Budget(max_arrow_blocks=1), Budget(max_arrow_blocks=2))
+    rng = random.Random(151)
+    counts = dict.fromkeys(("flat", "nested", "updated", "derived", "refused"), 0)
+    for _ in range(1500):
+        family = rng.choice(("flat", "nested", "updated"))
+        if family == "flat":
+            m = random_model(rng, max_states=3)
+            f = rng.choice((ArbBox, ArbDiamond))(random_quantifier_free(rng, rng.randint(1, 3)))
+        elif family == "nested":
+            agents = ("a", "b")
+            m = rng.choice((_discrete_model, _separated_model))(rng, agents)
+            f = rng.choice((ArbBox, ArbDiamond))(_nested_body(rng, agents, agents))
+        else:
+            # a keeps its arrows, b those its clause allows, or none
+            m = _non_separated_model(rng)
+            body = _nested_formula(rng, 2, quantified=rng.random() < 0.2)
+            b_clauses = (Clause(random_leaf(rng), "b", random_leaf(rng)),) if rng.random() < 0.5 else ()
+            u = Update((Clause(TOP, "a", TOP), *b_clauses))
+            f = UpdateBox(u, rng.choice((ArbBox, ArbDiamond))(body))
+        if len(arrow_blocks(m, coarsest_partition(m))) > (4 if family == "nested" else 6):
+            continue
+        expected = None
+        for budget in budgets:
+            decided.clear()
+            try:
+                got = truth_set(m, f, budget)
+            except BudgetExceededError as e:
+                assert e.kind == "arrow_blocks" and family == "updated" and not is_quantifier_free(body)
+                counts["refused"] += 1
+                continue
+            if expected is None:
+                expected = {s for s in m.states if naive_eval(m, s, f)}
+            assert got == expected, print_formula(f)
+            counts[family] += bool(decided)
+            counts["derived"] += any(coarsest_partition(sub) != coarsest_partition(m) for sub, _ in decided)
+    assert counts["flat"] >= 200 and counts["nested"] >= 250 and counts["updated"] >= 90, counts
+    # quantifiers met at a model whose partition is not the root's
+    assert counts["derived"] >= 12 and counts["refused"] >= 10, counts
+
+
+def test_symbolic_quantifier_reads_the_derived_model_blocks():
+    # The update drops b, which merges s1 and s2: the quantifier meets a
+    # model whose partition and blocks are not the root's. With the root's
+    # blocks, the truth set at x would come out wrong.
+    m = load_model("states: x s1 s2 t\nagent a: s1->t s2->t\nagent b: s1->s1\nagent c: x->s1 x->s2\n")
+    f = parse_formula("[{(true,a,true),(true,c,true)}][*]~(<c><a>true & <c>[a]false)")
+    assert coarsest_partition(m).rounds > 0
+    for budget in (Budget(max_arrow_blocks=1), DEFAULT_BUDGET):
+        assert truth_set(m, f, budget) == set(m.states)
+    assert all(naive_eval(m, s, f) for s in m.states)
+
+
+def test_symbolic_refusals(monkeypatch):
+    m = _sixteen_blocks()
+    tight = Budget(max_arrow_blocks=10)
+    # each BDD node is counted as it is made, against a module constant
+    monkeypatch.setattr(checker, "MAX_BDD_NODES", 100)
+    assert truth_set(m, parse_formula("[*](<a>p -> <a>q)"), tight) == frozenset()
+    with pytest.raises(BudgetExceededError) as exc:
+        truth_set(m, parse_formula("[*](<a>p -> <a><a>q)"), tight)
+    assert exc.value.kind == "bdd_nodes" and str(exc.value) == "101 BDD nodes exceed the cap of 100"
+    monkeypatch.undo()
+    # the union that keeps only the arrows into s1, where p holds and q
+    # does not, falsifies both bodies at every state
+    assert truth_set(m, parse_formula("[*](<a>p -> <a><a>q)"), tight) == frozenset()
+    # a nested body at a model that is not separated is refused as the
+    # walk refuses it over the cap
+    n = load_model("states: s t u\nagent a: s->t s->u t->t\npoint: s\n")
+    assert coarsest_partition(n).rounds > 0
+    with pytest.raises(BudgetExceededError) as exc:
+        truth_set(n, parse_formula("[*]<*>true"), Budget(max_arrow_blocks=2))
+    assert exc.value.kind == "arrow_blocks" and str(exc.value) == "3 arrow blocks exceed the cap of 2"
+    assert truth_set(n, parse_formula("[*]<*>true"), Budget(max_arrow_blocks=3)) == set(n.states)

@@ -19,7 +19,7 @@ from aaul import (
     print_update,
     save_model,
 )
-from aaul import cli
+from aaul import checker, cli
 from helpers import (
     invoke,
     naive_apply,
@@ -108,8 +108,14 @@ def test_check_long_disjunction(model_file, n):
 
 
 def test_check_budget_option(model_file):
-    code, _, err = invoke(["check", model_file, "[*]p", "--max-blocks", "1"])
-    assert code == 2 and "arrow blocks" in err
+    # past the cap [*] is decided symbolically: w, without p, is not in [*]p
+    assert invoke(["check", model_file, "[*]p", "--max-blocks", "1"]) == (1, "false\n", "")
+    # a nested body at a model that is not separated (t and u differ only by
+    # t's loop) is still refused over the cap
+    model = "states: s t u\nagent a: s->t s->u t->t\npoint: s\n"
+    refusal = (2, "", "error: 3 arrow blocks exceed the cap of 2\n")
+    assert invoke(["check", "-", "[*]<*>true", "--max-blocks", "2"], model) == refusal
+    assert invoke(["check", "-", "[*]<*>true"], model) == (0, "true\n", "")
 
 
 # agent a has no arrows; b's three arrows fall in three blocks
@@ -123,12 +129,15 @@ NEEDS = "states: s t\nagent a:\nagent b: s->t t->s s->s\nval p: s\npoint: s\n"
         ("[{([*]p,a,true)}]true", (0, "true\n", "")),
         # the first clause keeps every arrow
         ("[{(true,b,true),([*]p,b,true)}]true", (0, "true\n", "")),
-        ("[{([*]p,b,true)}]true", (2, "", "error: 3 arrow blocks exceed the cap of 1\n")),
+        ("[{([*]p,b,true)}]true", (2, "", "error: 2 BDD nodes exceed the cap of 1\n")),
         # s->t and s->s are left after the first clause, and start in true
-        ("[{(~p,b,true),(true,b,[*]p)}]true", (2, "", "error: 3 arrow blocks exceed the cap of 1\n")),
+        ("[{(~p,b,true),(true,b,[*]p)}]true", (2, "", "error: 2 BDD nodes exceed the cap of 1\n")),
     ],
 )
-def test_update_judges_only_the_clauses_it_needs(formula, expected):
+def test_update_judges_only_the_clauses_it_needs(formula, expected, monkeypatch):
+    # over the block cap [*]p is decided with BDDs; a node cap of 1 refuses
+    # it wherever it is judged
+    monkeypatch.setattr(checker, "MAX_BDD_NODES", 1)
     assert invoke(["check", "-", formula, "--max-blocks", "1"], NEEDS) == expected
 
 
@@ -320,9 +329,13 @@ def test_sat_search_checks_conjuncts_one_at_a_time():
     argv = ["sat-search", "<a>p & <a>~p & [*]<a>true", "--max-states", "2", "--max-blocks", "1"]
     assert invoke(argv) == (1, "none up to 2 states\n", "")
     # p | <a>true still holds at the p-states there, so the walk goes on,
-    # to the blocks and over the cap
+    # to the blocks, over the cap, where [*] is decided symbolically: the
+    # model found is the reference's, which checks f whole on every candidate
     argv[1] = "<a>p & <a>~p & [*](p | <a>true)"
-    assert invoke(argv) == (2, "", "error: 2 arrow blocks exceed the cap of 1\n")
+    found = "states: s0 s1\nagent a: s0->s0 s0->s1\nval p: s0\npoint: s0\n"
+    assert invoke(argv) == (0, found, "")
+    expected = naive_sat_search(parse_formula(argv[1]), 2, ("a",), ("p",), Budget(max_arrow_blocks=1))
+    assert save_model(expected) == found
 
 
 def test_sat_search_deep_formula_decides():
@@ -442,8 +455,8 @@ def test_run_calls_share_no_state():
     plain = ["sat-search", f, "--max-states", "2"]
     found = (0, "states: s0 s1\nagent a: s0->s0 s0->s1\nval p: s0\npoint: s0\n", "")
     assert invoke(plain) == found
-    refused = (2, "", "error: 2 arrow blocks exceed the cap of 1\n")
-    assert invoke(plain + ["--agents", "a,b", "--max-blocks", "1"]) == refused
+    with_b = (0, "states: s0 s1\nagent a: s0->s0 s0->s1\nagent b:\nval p: s0\npoint: s0\n", "")
+    assert invoke(plain + ["--agents", "a,b", "--max-blocks", "1"]) == with_b
     assert invoke(plain) == found
     assert invoke(["--help"])[0] == 0 and invoke(["sat-search", "--help"])[0] == 0
     assert invoke(plain) == found

@@ -7,7 +7,7 @@ from aaul import (
     AaulError,
     ArbBox,
     Box,
-    BudgetExceededError,
+    Budget,
     Implies,
     ModelFormatError,
     ParseError,
@@ -30,6 +30,7 @@ from aaul import (
     refl,
     satisfies,
     signature,
+    truth_set,
 )
 from aaul.syntax import ArbDiamond, subformulas
 from aaul.tiling import COMMUTE_PAIRS, DIRECTIONS
@@ -473,15 +474,19 @@ def test_refl_holds_everywhere_on_torus():
         assert satisfies(m, s, f)
 
 
-def test_quantified_conjuncts_exceed_default_budget_with_cell_props():
+def test_all_named_parts_on_cell_props_torus():
+    # The ALT 2x2 torus with a proposition per cell, so that no two cells
+    # are bisimilar, holds every named part at the origin: return_u/d too,
+    # which fail on the plain torus. It has 29 arrow blocks, over the
+    # default cap of 20, so each quantifier that goes past its empty union
+    # is decided symbolically.
     inst = parse_tiles(ALTERNATING)
-    tiling = find_periodic_tiling(inst, 2)
-    m = build_torus_model(inst, tiling, cell_props=True)
-    blocks = arrow_blocks(m, coarsest_partition(m))
-    assert len(blocks) == 29
+    m = build_torus_model(inst, find_periodic_tiling(inst, 2), cell_props=True)
+    assert len(arrow_blocks(m, coarsest_partition(m))) == 29
     named = encode_parts(inst).named()
-    with pytest.raises(BudgetExceededError):
-        satisfies(m, "s0", named["psi4_u"])
+    assert len(named) == 25
+    assert {name: satisfies(m, "s0", f) for name, f in named.items()} == dict.fromkeys(named, True)
+
 
 
 # Every quantified conjunct without a nested [*]/<*> holds on the plain ALT
@@ -507,7 +512,17 @@ def test_unnested_quantified_conjuncts_on_plain_torus():
         and all(is_quantifier_free(g.body) for g in subformulas(f) if isinstance(g, (ArbBox, ArbDiamond)))
     }
     assert unnested == set(UNNESTED_ON_PLAIN_TORUS)
-    assert {name: satisfies(m, "s0", named[name]) for name in unnested} == UNNESTED_ON_PLAIN_TORUS
+    _assert_walk_and_symbolic_path_agree(m, {name: named[name] for name in unnested}, UNNESTED_ON_PLAIN_TORUS)
+
+
+def _assert_walk_and_symbolic_path_agree(m, formulas, expected):
+    """Each formula's verdict at s0 is the expected one, and its whole truth
+    set is the same under the default budget, which walks every quantifier
+    of the plain torus, and under a cap of one block, where each one that
+    goes past its empty union is decided symbolically."""
+    walked = {name: truth_set(m, f) for name, f in formulas.items()}
+    assert {name: "s0" in states for name, states in walked.items()} == expected
+    assert {name: truth_set(m, f, Budget(max_arrow_blocks=1)) for name, f in formulas.items()} == walked
 
 
 # The nested conjuncts on the same torus. Its partition is its valuation
@@ -532,7 +547,7 @@ def test_nested_quantified_conjuncts_on_plain_torus():
         if any(not is_quantifier_free(g.body) for g in subformulas(f) if isinstance(g, (ArbBox, ArbDiamond)))
     }
     assert nested == set(NESTED_ON_PLAIN_TORUS)
-    assert {name: satisfies(m, "s0", named[name]) for name in nested} == NESTED_ON_PLAIN_TORUS
+    _assert_walk_and_symbolic_path_agree(m, {name: named[name] for name in nested}, NESTED_ON_PLAIN_TORUS)
 
 
 # On the 1x1 self-tiling torus every named part holds but return_u/d/l/r.
